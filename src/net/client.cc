@@ -78,13 +78,15 @@ Status SimpleClient::Diff(const std::string& old_doc,
 }
 
 Status SimpleClient::Open(const std::string& doc_id, const std::string& doc,
-                          uint8_t format, WireResponse* response) {
+                          uint8_t format, WireResponse* response,
+                          uint32_t replicas) {
   WireRequest request;
   request.opcode = Opcode::kOpen;
   request.format = format;
   request.request_id = next_request_id_++;
   request.doc_id = doc_id;
   request.old_doc = doc;
+  request.replicas = replicas;
   return Call(request, response);
 }
 
@@ -112,15 +114,23 @@ Status SimpleClient::Vdiff(const std::string& doc_id, int32_t from_version,
   return Call(request, response);
 }
 
-Status SimpleClient::Metrics(std::string* text) {
+Status SimpleClient::CallForText(Opcode opcode, std::string* text) {
   WireRequest request;
-  request.opcode = Opcode::kMetrics;
+  request.opcode = opcode;
   request.request_id = next_request_id_++;
   WireResponse response;
   TREEDIFF_RETURN_IF_ERROR(Call(request, &response));
   if (!response.ok()) return Status(response.code(), response.payload);
   *text = std::move(response.payload);
   return Status::Ok();
+}
+
+Status SimpleClient::Metrics(std::string* text) {
+  return CallForText(Opcode::kMetrics, text);
+}
+
+Status SimpleClient::StatusText(std::string* text) {
+  return CallForText(Opcode::kStatus, text);
 }
 
 }  // namespace net

@@ -46,16 +46,23 @@ class SimpleClient {
   Status Diff(const std::string& old_doc, const std::string& new_doc,
               uint8_t format, WireResponse* response,
               const std::string& tenant = "", uint32_t deadline_ms = 0);
+  /// `replicas` 0 opens an in-memory store; n >= 1 an n-replica group.
   Status Open(const std::string& doc_id, const std::string& doc,
-              uint8_t format, WireResponse* response);
+              uint8_t format, WireResponse* response, uint32_t replicas = 0);
   Status Commit(const std::string& doc_id, const std::string& doc,
                 uint8_t format, WireResponse* response);
   Status Vdiff(const std::string& doc_id, int32_t from_version,
                int32_t to_version, WireResponse* response,
                const std::string& tenant = "");
   Status Metrics(std::string* text);
+  /// The kStatus text: one store= line per store, plus a REPL line per
+  /// replicated store. (Not named Status: that would hide the type.)
+  Status StatusText(std::string* text);
 
  private:
+  /// One body-less request whose OK payload is text (kMetrics, kStatus).
+  Status CallForText(Opcode opcode, std::string* text);
+
   OwnedFd fd_;
   FrameDecoder decoder_;
   uint64_t next_request_id_ = 1;

@@ -1,29 +1,46 @@
 #include "net/frontend.h"
 
 #include <memory>
+#include <sstream>
 #include <utility>
+#include <vector>
 
 namespace treediff {
 namespace net {
 
-DiffRequest::Format Frontend::ToFormat(uint8_t wire_format) {
+namespace {
+
+/// Maps a wire format byte (already validated by the decoder) to the
+/// service's enum.
+DiffRequest::Format ToFormat(uint8_t wire_format) {
   return wire_format == kFormatXml ? DiffRequest::Format::kXml
                                    : DiffRequest::Format::kSexpr;
 }
 
-WireResponse Frontend::ErrorResponse(const WireRequest& request,
-                                     const Status& status) {
-  WireResponse response;
-  response.opcode = request.opcode;
-  response.request_id = request.request_id;
-  response.status = static_cast<uint8_t>(status.code());
-  response.payload = status.message();
-  return response;
+constexpr size_t kMaxDocIdLen = 128;
+
+bool DocIdChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
 }
 
-WireResponse Frontend::FromDiffResponse(const WireRequest& request,
-                                        const DiffResponse& diff) {
-  if (!diff.status.ok()) return ErrorResponse(request, diff.status);
+/// Accepts a doc id that is safe as a file-name component: 1 to
+/// kMaxDocIdLen bytes of [A-Za-z0-9._-], not starting with '.'.
+Status ValidateDocId(const std::string& doc_id) {
+  bool ok = !doc_id.empty() && doc_id.size() <= kMaxDocIdLen &&
+            doc_id[0] != '.';
+  for (const char c : doc_id) ok = ok && DocIdChar(c);
+  if (ok) return Status::Ok();
+  return Status::InvalidArgument(
+      "bad doc id \"" + doc_id.substr(0, kMaxDocIdLen) + "\": want 1-" +
+      std::to_string(kMaxDocIdLen) +
+      " bytes of [A-Za-z0-9._-], not starting with '.'");
+}
+
+/// Builds the response for a finished diff (error responses included).
+WireResponse FromDiffResponse(const WireRequest& request,
+                              const DiffResponse& diff) {
+  if (!diff.status.ok()) return Frontend::ErrorResponse(request, diff.status);
   WireResponse response;
   response.opcode = request.opcode;
   response.request_id = request.request_id;
@@ -37,6 +54,18 @@ WireResponse Frontend::FromDiffResponse(const WireRequest& request,
   if (diff.matching_cache_hit) response.flags |= kRespFlagMatchCache;
   if (diff.chain_log_hit) response.flags |= kRespFlagChainLog;
   response.payload = diff.script;
+  return response;
+}
+
+}  // namespace
+
+WireResponse Frontend::ErrorResponse(const WireRequest& request,
+                                     const Status& status) {
+  WireResponse response;
+  response.opcode = request.opcode;
+  response.request_id = request.request_id;
+  response.status = static_cast<uint8_t>(status.code());
+  response.payload = status.message();
   return response;
 }
 
@@ -81,11 +110,51 @@ void Frontend::Execute(WireRequest request, Done done) {
     case Opcode::kOpen:
     case Opcode::kCommit:
     case Opcode::kMetrics:
+    case Opcode::kStatus:
       ExecuteControl(std::move(request), std::move(done));
       return;
   }
   // Unreachable: the decoder validated the opcode.
   done(ErrorResponse(request, Status::Internal("unhandled opcode")));
+}
+
+Status Frontend::Open(const WireRequest& request) {
+  const DiffRequest::Format format = ToFormat(request.format);
+  if (request.replicas == 0) {
+    return service_->CreateStore(request.doc_id, request.old_doc, format);
+  }
+  // The id becomes part of a file name: vet it before any path exists.
+  TREEDIFF_RETURN_IF_ERROR(ValidateDocId(request.doc_id));
+  std::vector<ReplicaConfig> configs(request.replicas);
+  for (size_t r = 0; r < configs.size(); ++r) {
+    configs[r].path = store_dir_ + "/" + request.doc_id + ".r" +
+                      std::to_string(r) + ".log";
+  }
+  return service_->CreateReplicatedStore(request.doc_id, request.old_doc,
+                                         std::move(configs),
+                                         AckMode::kLeaderOnly, format);
+}
+
+std::string Frontend::RenderStatus() {
+  std::ostringstream out;
+  for (const DiffService::StoreStatus& s : service_->StoreStatuses()) {
+    out << "store=" << s.doc_id << " versions=" << s.versions
+        << " durable=" << (s.durable ? 1 : 0)
+        << " health=" << StoreHealthName(s.health)
+        << " failures=" << s.consecutive_failures
+        << " retries=" << s.faults.transient_retries
+        << " rotations=" << s.faults.rotations
+        << " scrubs=" << s.faults.scrubs << "\n";
+    if (!s.replicated) continue;
+    out << "REPL doc=" << s.doc_id << " epoch=" << s.repl_epoch
+        << " primary=" << s.repl_primary;
+    for (const ReplicaStatus& r : s.replicas) {
+      out << " r" << r.index << "=" << ReplicaRoleName(r.role)
+          << ":lag=" << r.lag_bytes;
+    }
+    out << "\n";
+  }
+  return out.str();
 }
 
 void Frontend::ExecuteControl(WireRequest req, Done done_fn) {
@@ -95,49 +164,34 @@ void Frontend::ExecuteControl(WireRequest req, Done done_fn) {
   auto state = std::make_shared<std::pair<WireRequest, Done>>(
       std::move(req), std::move(done_fn));
   auto task = [this, state]() {
-    WireRequest& request = state->first;
-    Done& done = state->second;
+    const WireRequest& request = state->first;
+    WireResponse response;
+    response.opcode = request.opcode;
+    response.request_id = request.request_id;
+    Status status = Status::Ok();
     switch (request.opcode) {
-      case Opcode::kOpen: {
-        const Status status = service_->CreateStore(
-            request.doc_id, request.old_doc, ToFormat(request.format));
-        if (!status.ok()) {
-          done(ErrorResponse(request, status));
-          return;
-        }
-        WireResponse response;
-        response.opcode = Opcode::kOpen;
-        response.request_id = request.request_id;
-        done(std::move(response));
-        return;
-      }
+      case Opcode::kOpen:
+        status = Open(request);
+        break;
       case Opcode::kCommit: {
         const StatusOr<int> version = service_->CommitVersion(
             request.doc_id, request.old_doc, ToFormat(request.format));
-        if (!version.ok()) {
-          done(ErrorResponse(request, version.status()));
-          return;
-        }
-        WireResponse response;
-        response.opcode = Opcode::kCommit;
-        response.request_id = request.request_id;
-        response.value = static_cast<uint32_t>(*version);
-        done(std::move(response));
-        return;
+        status = version.status();
+        if (version.ok()) response.value = static_cast<uint32_t>(*version);
+        break;
       }
-      case Opcode::kMetrics: {
-        WireResponse response;
-        response.opcode = Opcode::kMetrics;
-        response.request_id = request.request_id;
+      case Opcode::kMetrics:
         response.payload = service_->metrics().PrometheusExposition();
-        done(std::move(response));
-        return;
-      }
+        break;
+      case Opcode::kStatus:
+        response.payload = RenderStatus();
+        break;
       default:
-        done(ErrorResponse(request,
-                           Status::Internal("bad control opcode")));
-        return;
+        status = Status::Internal("bad control opcode");
+        break;
     }
+    state->second(status.ok() ? std::move(response)
+                              : ErrorResponse(request, status));
   };
   if (!control_pool_->TrySubmit(std::move(task))) {
     (state->second)(ErrorResponse(

@@ -2,6 +2,8 @@
 #define TREEDIFF_NET_FRONTEND_H_
 
 #include <functional>
+#include <string>
+#include <utility>
 
 #include "net/wire.h"
 #include "service/diff_service.h"
@@ -11,33 +13,27 @@ namespace treediff {
 namespace net {
 
 /// Executes decoded wire requests against a DiffService — the one place
-/// opcode semantics live, shared by the epoll server and the line-protocol
-/// compat adapter in treediff_serve (which is why the two surfaces cannot
-/// drift apart).
+/// opcode semantics live. The epoll server (net/server.h) is its only
+/// caller; every serving verb is a wire opcode.
 ///
 /// Diff work rides the service's own async Submit path (its worker pool);
-/// control operations (open/commit/metrics) run on the small control pool
-/// passed in, so a slow store commit never blocks an event-loop thread.
+/// control operations (open/commit/metrics/status) run on the small control
+/// pool passed in, so a slow store commit never blocks an event-loop thread.
 /// `done` is invoked exactly once per Execute, on a service worker, a
 /// control-pool thread, or inline (ping; shed at admission; pool rejected).
 class Frontend {
  public:
   using Done = std::function<void(WireResponse)>;
 
-  /// Both pointers are borrowed and must outlive the frontend.
-  Frontend(DiffService* service, ThreadPool* control_pool)
-      : service_(service), control_pool_(control_pool) {}
+  /// Both pointers are borrowed and must outlive the frontend. A kOpen
+  /// with n replicas keeps its logs at `store_dir`/<doc_id>.r<i>.log.
+  Frontend(DiffService* service, ThreadPool* control_pool,
+           std::string store_dir)
+      : service_(service),
+        control_pool_(control_pool),
+        store_dir_(std::move(store_dir)) {}
 
   void Execute(WireRequest request, Done done);
-
-  /// Maps a wire format byte (already validated by the decoder) to the
-  /// service's enum.
-  static DiffRequest::Format ToFormat(uint8_t wire_format);
-
-  /// Builds the response for a finished diff (also used to shape error
-  /// responses uniformly).
-  static WireResponse FromDiffResponse(const WireRequest& request,
-                                       const DiffResponse& response);
 
   /// An error response echoing the request's correlation fields.
   static WireResponse ErrorResponse(const WireRequest& request,
@@ -45,9 +41,12 @@ class Frontend {
 
  private:
   void ExecuteControl(WireRequest request, Done done);
+  Status Open(const WireRequest& request);
+  std::string RenderStatus();
 
   DiffService* service_;
   ThreadPool* control_pool_;
+  std::string store_dir_;
 };
 
 }  // namespace net

@@ -63,7 +63,8 @@ NetServer::NetServer(DiffService* service, NetServerOptions options)
           std::max<size_t>(options_.control_queue, 1)}) {
   scheduler_ = std::make_unique<TenantScheduler>(options_.admission,
                                                  &service_->metrics());
-  frontend_ = std::make_unique<Frontend>(service_, &control_pool_);
+  frontend_ = std::make_unique<Frontend>(service_, &control_pool_,
+                                         options_.store_dir);
 
   MetricsRegistry& m = service_->metrics();
   accepted_ = m.counter("net_connections_accepted_total");
@@ -427,12 +428,14 @@ void NetServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
     conns_with_pending_writes_.fetch_sub(1, std::memory_order_relaxed);
   }
   conn->loop->Del(conn->fd);
-  (void)::close(conn->fd);
-  closed_->Increment();
+  // Unmap before close: once closed, the fd number can be reused by the
+  // next accept, and erasing after that would drop the new connection.
   {
     MutexLock lock(&conns_mu_);
     conns_.erase(conn->fd);
   }
+  (void)::close(conn->fd);
+  closed_->Increment();
 }
 
 size_t NetServer::active_connections() const {

@@ -64,9 +64,13 @@ struct NetServerOptions {
   /// request gets an error response, not silence).
   double drain_deadline_seconds = 5.0;
 
-  /// Control-operation pool (open/commit/metrics): threads and queue.
+  /// Control-operation pool (open/commit/metrics/status): threads and
+  /// queue.
   int control_threads = 1;
   size_t control_queue = 64;
+
+  /// Directory for the replica logs of a replicated kOpen.
+  std::string store_dir = ".";
 
   /// Multi-tenant admission (quotas + DRR fair share) ahead of the
   /// DiffService pool. `max_dispatched` should stay at or below the

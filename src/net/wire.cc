@@ -97,7 +97,7 @@ Status Malformed(const std::string& what) {
 
 bool ValidOpcode(uint8_t op) {
   return op >= static_cast<uint8_t>(Opcode::kPing) &&
-         op <= static_cast<uint8_t>(Opcode::kMetrics);
+         op <= static_cast<uint8_t>(Opcode::kStatus);
 }
 
 void AppendRequest(const WireRequest& request, std::string* out) {
@@ -118,6 +118,7 @@ void AppendRequest(const WireRequest& request, std::string* out) {
   switch (request.opcode) {
     case Opcode::kPing:
     case Opcode::kMetrics:
+    case Opcode::kStatus:
       break;
     case Opcode::kDiff:
       PutU32(out, static_cast<uint32_t>(request.old_doc.size()));
@@ -137,6 +138,7 @@ void AppendRequest(const WireRequest& request, std::string* out) {
       PutU32(out, static_cast<uint32_t>(request.old_doc.size()));
       out->append(request.doc_id);
       out->append(request.old_doc);
+      if (request.opcode == Opcode::kOpen) PutU32(out, request.replicas);
       break;
   }
 
@@ -268,6 +270,7 @@ DecodeResult FrameDecoder::NextRequest(WireRequest* out, Status* error) {
   switch (out->opcode) {
     case Opcode::kPing:
     case Opcode::kMetrics:
+    case Opcode::kStatus:
       break;
     case Opcode::kDiff: {
       uint32_t old_len = 0;
@@ -302,6 +305,18 @@ DecodeResult FrameDecoder::NextRequest(WireRequest* out, Status* error) {
           !r.ReadBytes(doc_len, &out->old_doc)) {
         *error = Malformed("open/commit body lengths inconsistent");
         return DecodeResult::kBadFrame;
+      }
+      if (out->opcode == Opcode::kOpen) {
+        if (!r.ReadU32(&out->replicas)) {
+          *error = Malformed("open body missing replica count");
+          return DecodeResult::kBadFrame;
+        }
+        if (out->replicas > kMaxReplicas) {
+          *error = Malformed("replica count " +
+                             std::to_string(out->replicas) + " above " +
+                             std::to_string(kMaxReplicas));
+          return DecodeResult::kBadFrame;
+        }
       }
       break;
     }

@@ -30,10 +30,15 @@ namespace net {
 ///   ... tenant_len bytes of tenant id
 ///   ... opcode-specific body:
 ///
-///   kPing / kMetrics   (empty)
-///   kDiff              u32 old_len | u32 new_len | old bytes | new bytes
-///   kVdiff             u32 id_len | i32 from | i32 to | id bytes
-///   kOpen / kCommit    u32 id_len | u32 doc_len | id bytes | doc bytes
+///   kPing / kMetrics / kStatus   (empty)
+///   kDiff      u32 old_len | u32 new_len | old bytes | new bytes
+///   kVdiff     u32 id_len | i32 from | i32 to | id bytes
+///   kOpen      u32 id_len | u32 doc_len | id bytes | doc bytes | u32 replicas
+///   kCommit    u32 id_len | u32 doc_len | id bytes | doc bytes
+///
+/// kOpen's `replicas` is 0 for an in-memory store, or n in
+/// [1, kMaxReplicas] for an n-replica group whose logs live under the
+/// server's store directory.
 ///
 /// Response payload:
 ///
@@ -46,7 +51,8 @@ namespace net {
 ///   u32 aux          diff: share-map pruned subtrees; else 0
 ///   u32 payload_len  bytes following
 ///   ... payload      edit script text (OK diff), error message (non-OK),
-///                    metrics text (kMetrics), else empty
+///                    metrics text (kMetrics), store health lines
+///                    (kStatus), else empty
 ///
 /// Framing errors are two-tier. A frame whose *outer* length field is
 /// absurd (zero, or beyond the decoder's max) means the stream can no
@@ -59,9 +65,10 @@ enum class Opcode : uint8_t {
   kPing = 1,     // Liveness probe; empty OK response.
   kDiff = 2,     // Diff two inline documents.
   kVdiff = 3,    // Diff two stored versions.
-  kOpen = 4,     // Create an in-memory version store.
+  kOpen = 4,     // Create a version store (in-memory or replicated).
   kCommit = 5,   // Commit the next version of a store.
   kMetrics = 6,  // Prometheus text exposition of the server registry.
+  kStatus = 7,   // Per-store health: store= lines, REPL lines for groups.
 };
 
 /// True for a byte that names a real opcode.
@@ -83,6 +90,7 @@ inline constexpr uint8_t kRespFlagChainLog = 1u << 5;
 inline constexpr uint8_t kNoRung = 0xFF;
 
 inline constexpr size_t kMaxTenantLen = 64;
+inline constexpr uint32_t kMaxReplicas = 8;  // Per kOpen frame.
 inline constexpr size_t kLenPrefixBytes = 4;
 inline constexpr size_t kRequestHeaderBytes = 16;   // After the length.
 inline constexpr size_t kResponseHeaderBytes = 20;  // After the length.
@@ -107,6 +115,7 @@ struct WireRequest {
   std::string new_doc;  // kDiff new document.
   int32_t from_version = -1;  // kVdiff.
   int32_t to_version = -1;    // kVdiff.
+  uint32_t replicas = 0;      // kOpen: 0 = in-memory store.
 };
 
 /// One decoded response frame.

@@ -342,7 +342,13 @@ const EditScript* VersionStore::DeltaFor(int v) const {
 VersionStore::VersionInfo VersionStore::Info(int v) const {
   MutexLock lock(&mu_);
   const Segment* seg = FindSegment(v);
-  if (!seg || v <= seg->first) return {};
+  if (!seg) return {};
+  if (v == 0) {  // The base: no delta, but its size is known.
+    VersionInfo base;
+    base.nodes = base_.size();
+    return base;
+  }
+  if (v <= seg->first) return {};
   return seg->infos[static_cast<size_t>(v - seg->first - 1)];
 }
 

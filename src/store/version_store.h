@@ -263,9 +263,9 @@ class VersionStore {
     size_t nodes = 0;  // Size of the version after the delta.
   };
 
-  /// Info for version `v`, or a zero VersionInfo when `v` is the base, out
-  /// of range, lost to a salvage hole, or a salvage re-anchor (whose delta
-  /// stats did not survive).
+  /// Info for version `v`. The base has no delta, so only its `nodes` is
+  /// set. A zero VersionInfo when `v` is out of range, lost to a salvage
+  /// hole, or a salvage re-anchor (whose delta stats did not survive).
   VersionInfo Info(int v) const EXCLUDES(mu_);
 
   /// Storage accounting: serialized bytes of all stored scripts versus what

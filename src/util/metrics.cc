@@ -141,29 +141,4 @@ Histogram* MetricsRegistry::histogram(const std::string& name) {
   return slot.get();
 }
 
-std::string MetricsRegistry::TextExposition() const {
-  MutexLock lock(&mu_);
-  std::string out;
-  char line[160];
-  for (const auto& [name, c] : counters_) {
-    (void)std::snprintf(line, sizeof line, "%s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(c->Value()));
-    out += line;
-  }
-  for (const auto& [name, h] : histograms_) {
-    (void)std::snprintf(line, sizeof line, "%s_count %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(h->Count()));
-    out += line;
-    (void)std::snprintf(line, sizeof line, "%s_sum %.9g\n", name.c_str(),
-                        h->Sum());
-    out += line;
-    for (const double q : {0.5, 0.9, 0.99}) {
-      (void)std::snprintf(line, sizeof line, "%s{quantile=\"%.2g\"} %.9g\n",
-                    name.c_str(), q, h->Quantile(q));
-      out += line;
-    }
-  }
-  return out;
-}
-
 }  // namespace treediff

@@ -73,11 +73,6 @@ class MetricsRegistry {
   Counter* counter(const std::string& name) EXCLUDES(mu_);
   Histogram* histogram(const std::string& name) EXCLUDES(mu_);
 
-  /// Text exposition, one metric per line, names sorted:
-  ///   <name> <value>
-  ///   <name>_count <n> / <name>_sum <s> / <name>{quantile="0.5"} <v> ...
-  std::string TextExposition() const EXCLUDES(mu_);
-
   /// Prometheus text exposition format (version 0.0.4), the wire format a
   /// Prometheus scraper expects from the HTTP `/metrics` endpoint:
   ///

@@ -227,7 +227,7 @@ TEST(DiffServiceTest, MetricsAccumulateAcrossRequests) {
   EXPECT_EQ(m.counter("diff_rung_total{rung=\"FastMatch\"}")->Value(), 5u);
   EXPECT_EQ(m.histogram("diff_e2e_seconds")->Count(), 5u);
   EXPECT_EQ(m.histogram("diff_queue_wait_seconds")->Count(), 5u);
-  const std::string text = m.TextExposition();
+  const std::string text = m.PrometheusExposition();
   EXPECT_NE(text.find("diff_requests_total 5"), std::string::npos);
   EXPECT_NE(text.find("tree_cache_hits_total 8"), std::string::npos);
 }

@@ -88,23 +88,6 @@ TEST(MetricsRegistryTest, SameNameSameInstance) {
             static_cast<void*>(registry.histogram("y")));
 }
 
-TEST(MetricsRegistryTest, TextExposition) {
-  MetricsRegistry registry;
-  registry.counter("b_total")->Increment(2);
-  registry.counter("a_total")->Increment(1);
-  Histogram* h = registry.histogram("lat_seconds");
-  h->Observe(0.5);
-  const std::string text = registry.TextExposition();
-  // Counters in name order, histogram count/sum/quantiles present.
-  EXPECT_NE(text.find("a_total 1\n"), std::string::npos);
-  EXPECT_NE(text.find("b_total 2\n"), std::string::npos);
-  EXPECT_LT(text.find("a_total"), text.find("b_total"));
-  EXPECT_NE(text.find("lat_seconds_count 1\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_seconds_sum 0.5\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_seconds{quantile=\"0.5\"}"), std::string::npos);
-  EXPECT_NE(text.find("lat_seconds{quantile=\"0.99\"}"), std::string::npos);
-}
-
 TEST(MetricsRegistryTest, PrometheusCountersWithSharedHeaders) {
   MetricsRegistry registry;
   registry.counter("req_total{tenant=\"a\"}")->Increment(1);

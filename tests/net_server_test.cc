@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -126,6 +129,82 @@ TEST(NetServerTest, OpenCommitVdiffAndMetricsOpcodes) {
   ASSERT_TRUE(client.Metrics(&text).ok());
   EXPECT_NE(text.find("net_frames_total"), std::string::npos);
   EXPECT_NE(text.find("# TYPE"), std::string::npos);
+}
+
+/// A fresh, empty directory for replica logs, unique to this process.
+std::filesystem::path FreshDir(const std::string& name) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("treediff_net_server_" + name + "_" +
+                        std::to_string(getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+TEST(NetServerTest, ReplicatedOpenCommitAndStatusOpcodes) {
+  namespace fs = std::filesystem;
+  const fs::path dir = FreshDir("repl");
+  {
+    NetServerOptions options;
+    options.store_dir = dir.string();
+    ServerFixture fx(options);
+    SimpleClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", fx.server->port()).ok());
+
+    WireResponse response;
+    ASSERT_TRUE(client
+                    .Open("doc-r", OldDoc(0), kFormatSexpr, &response,
+                          /*replicas=*/3)
+                    .ok());
+    ASSERT_TRUE(response.ok()) << response.payload;
+    ASSERT_TRUE(
+        client.Commit("doc-r", NewDoc(0), kFormatSexpr, &response).ok());
+    ASSERT_TRUE(response.ok()) << response.payload;
+    EXPECT_EQ(response.value, 1u);
+
+    std::string status;
+    ASSERT_TRUE(client.StatusText(&status).ok());
+    EXPECT_NE(status.find("store=doc-r versions=2 "), std::string::npos)
+        << status;
+    EXPECT_NE(status.find("REPL doc=doc-r epoch="), std::string::npos)
+        << status;
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_TRUE(fs::exists(dir / ("doc-r.r" + std::to_string(r) + ".log")))
+          << "replica " << r;
+    }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(NetServerTest, ReplicatedOpenRejectsUnsafeDocIds) {
+  namespace fs = std::filesystem;
+  const fs::path root = FreshDir("docid");
+  const fs::path logs = root / "logs";
+  fs::create_directories(logs);
+  {
+    NetServerOptions options;
+    options.store_dir = logs.string();
+    ServerFixture fx(options);
+    SimpleClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", fx.server->port()).ok());
+    const std::string ids[] = {"../x", "a/b", "", ".x", "a b",
+                               std::string(200, 'a')};
+    for (const std::string& id : ids) {
+      WireResponse response;
+      ASSERT_TRUE(
+          client.Open(id, OldDoc(0), kFormatSexpr, &response, 1).ok());
+      EXPECT_EQ(response.code(), Code::kInvalidArgument) << id;
+    }
+  }
+  // No log was created anywhere: not in the store dir, not beside it.
+  size_t entries = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    EXPECT_EQ(entry.path(), logs);
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+  fs::remove_all(root);
 }
 
 TEST(NetServerTest, MalformedFrameGetsErrorResponseStreamSurvives) {

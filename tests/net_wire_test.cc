@@ -70,6 +70,7 @@ TEST(WireTest, AllOpcodesRoundTrip) {
   open.request_id = 3;
   open.doc_id = "doc-7";
   open.old_doc = "(D (P (S \"base\")))";
+  open.replicas = 3;
   AppendRequest(open, &stream);
 
   WireRequest commit;
@@ -84,13 +85,24 @@ TEST(WireTest, AllOpcodesRoundTrip) {
   metrics.request_id = 5;
   AppendRequest(metrics, &stream);
 
+  WireRequest status;
+  status.opcode = Opcode::kStatus;
+  status.request_id = 6;
+  AppendRequest(status, &stream);
+
   decoder.Append(stream.data(), stream.size());
   WireRequest out;
   Status error = Status::Ok();
-  for (uint64_t id = 1; id <= 5; ++id) {
+  const Opcode opcodes[] = {Opcode::kPing,   Opcode::kVdiff,
+                            Opcode::kOpen,   Opcode::kCommit,
+                            Opcode::kMetrics, Opcode::kStatus};
+  for (uint64_t id = 1; id <= 6; ++id) {
     ASSERT_EQ(decoder.NextRequest(&out, &error), DecodeResult::kFrame)
         << "frame " << id;
     EXPECT_EQ(out.request_id, id);
+    EXPECT_EQ(out.opcode, opcodes[id - 1]);
+    // The replica count rides on kOpen only.
+    EXPECT_EQ(out.replicas, id == 3 ? 3u : 0u);
     if (id >= 2 && id <= 4) {
       EXPECT_EQ(out.doc_id, "doc-7");
     }
@@ -182,6 +194,25 @@ TEST(WireTest, BadFrameKeepsCorrelationHeader) {
   ASSERT_EQ(decoder.NextRequest(&out, &error), DecodeResult::kBadFrame);
   EXPECT_EQ(out.request_id, in.request_id);
   EXPECT_EQ(out.tenant, in.tenant);
+
+  // A kOpen whose replica count is above the cap: same tier, and the
+  // frame after it still decodes.
+  WireRequest open;
+  open.opcode = Opcode::kOpen;
+  open.request_id = 8;
+  open.doc_id = "doc";
+  open.old_doc = "(D)";
+  open.replicas = kMaxReplicas + 1;
+  WireRequest ping;
+  ping.opcode = Opcode::kPing;
+  ping.request_id = 9;
+  stream = EncodeRequest(open) + EncodeRequest(ping);
+  decoder.Append(stream.data(), stream.size());
+  ASSERT_EQ(decoder.NextRequest(&out, &error), DecodeResult::kBadFrame);
+  EXPECT_EQ(out.request_id, 8u);
+  EXPECT_NE(error.message().find("replica count"), std::string::npos);
+  ASSERT_EQ(decoder.NextRequest(&out, &error), DecodeResult::kFrame);
+  EXPECT_EQ(out.request_id, 9u);
 }
 
 TEST(WireTest, TrailingBytesRejected) {

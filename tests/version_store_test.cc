@@ -65,6 +65,9 @@ TEST(VersionStoreTest, InfoTracksPerVersionChanges) {
   EXPECT_EQ(store.Info(1).deletes, 1u);
   EXPECT_EQ(store.Info(1).inserts, 0u);
   EXPECT_EQ(store.Info(1).nodes, 4u);
+  // The base has no delta, only a size.
+  EXPECT_EQ(store.Info(0).nodes, 5u);
+  EXPECT_EQ(store.Info(0).deletes, 0u);
   ASSERT_NE(store.DeltaFor(1), nullptr);
   EXPECT_EQ(store.DeltaFor(1)->num_deletes(), 1u);
 }

@@ -1,0 +1,84 @@
+#!/usr/bin/env bash
+# End-to-end smoke test of the deployed serving binaries.
+#
+# Starts treediff_serve on ephemeral ports with stdin at EOF, drives every
+# serving verb through treediff_client (ping, diff, open, replicated open,
+# commit, vdiff, status, metrics), then sends SIGTERM and requires a clean
+# exit 0. Any non-OK response, non-zero exit or missing output fails the
+# script. Because stdin is /dev/null the whole run also proves that EOF on
+# stdin does not stop the server.
+#
+# Usage: tools/serve_smoke.sh [BUILD_DIR]   (default: build)
+
+set -euo pipefail
+
+build="${1:-build}"
+serve="$build/tools/treediff_serve"
+client="$build/tools/treediff_client"
+work="$(mktemp -d)"
+server_pid=""
+
+cleanup() {
+  if [[ -n "$server_pid" ]] && kill -0 "$server_pid" 2>/dev/null; then
+    kill -KILL "$server_pid" 2>/dev/null || true
+  fi
+  rm -rf "$work"
+}
+trap cleanup EXIT
+
+fail() {
+  echo "serve_smoke: FAIL: $*" >&2
+  [[ -f "$work/serve.err" ]] && sed 's/^/  serve: /' "$work/serve.err" >&2
+  exit 1
+}
+
+"$serve" --port 0 --metrics-port 0 --store-dir "$work" \
+  </dev/null 2>"$work/serve.err" &
+server_pid=$!
+
+port=""
+for _ in $(seq 1 100); do
+  port="$(sed -n 's/.*listening on [^:]*:\([0-9]*\) .*/\1/p' \
+    "$work/serve.err")"
+  [[ -n "$port" ]] && break
+  kill -0 "$server_pid" 2>/dev/null || fail "server exited before listening"
+  sleep 0.1
+done
+[[ -n "$port" ]] || fail "server did not report its port"
+
+# expect NAME REGEX ARGS...: runs the client with ARGS; requires exit 0
+# and an output line matching REGEX.
+expect() {
+  local name="$1" regex="$2" out
+  shift 2
+  out="$("$client" --port "$port" "$@")" || fail "$name: client exit non-zero"
+  grep -q -- "$regex" <<<"$out" || fail "$name: no /$regex/ in: $out"
+}
+
+old='(D (P (S "alpha beta gamma")))'
+new='(D (P (S "alpha beta delta")) (P (S "epsilon")))'
+
+expect ping '^PONG$' ping
+expect diff '^ops=[1-9]' diff sexpr "$old" "$new"
+expect open '^OK version=0$' open doc sexpr "$old"
+expect commit '^OK version=1$' commit doc sexpr "$new"
+expect vdiff '^ops=[1-9]' vdiff doc 0 1
+expect open-replicated '^OK version=0$' open --replicas 2 rdoc sexpr "$old"
+expect commit-replicated '^OK version=1$' commit rdoc sexpr "$new"
+expect status '^store=doc versions=2 ' status
+expect status-repl '^REPL doc=rdoc epoch=' status
+expect metrics '^# TYPE net_frames_total counter$' metrics
+
+# A bad doc id is refused, and the client reports it with a non-zero exit.
+if "$client" --port "$port" open --replicas 1 ../x sexpr "$old" \
+  2>/dev/null; then
+  fail "unsafe doc id accepted"
+fi
+
+kill -0 "$server_pid" 2>/dev/null || fail "server stopped early"
+kill -TERM "$server_pid"
+status=0
+wait "$server_pid" || status=$?
+server_pid=""
+[[ "$status" -eq 0 ]] || fail "server exit status $status after SIGTERM"
+echo "serve_smoke: OK (port $port)"

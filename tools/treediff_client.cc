@@ -5,7 +5,18 @@
 //
 //   treediff_client --port P ping
 //   treediff_client --port P diff <sexpr|xml> <old_doc> <new_doc>
+//   treediff_client --port P open [--replicas N] <doc_id> <sexpr|xml> <base>
+//   treediff_client --port P commit <doc_id> <sexpr|xml> <doc>
+//   treediff_client --port P vdiff <doc_id> <from> <to>
+//   treediff_client --port P status
 //   treediff_client --port P metrics
+//
+// A command exits 0 on an OK response and 1 on any error. diff and vdiff
+// print "ops=<n> pruned=<n> flags=0x<hex>" and then the edit script; open
+// and commit print "OK version=<v>"; status prints one store= line per
+// store (plus a REPL line per replicated store); metrics prints the
+// Prometheus text. `open --replicas N` (N >= 1) creates an N-replica group
+// whose logs live under the server's --store-dir.
 //
 // Load generation (the interesting mode):
 //
@@ -24,6 +35,8 @@
 // fair-share admission uses for isolation; run two clients with different
 // tenants to watch the weighted-deficit scheduler arbitrate.
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,6 +63,10 @@ int Usage() {
       "usage: treediff_client [--host H] --port P <command>\n"
       "  ping\n"
       "  diff <sexpr|xml> <old_doc> <new_doc>\n"
+      "  open [--replicas N] <doc_id> <sexpr|xml> <base_doc>\n"
+      "  commit <doc_id> <sexpr|xml> <doc>\n"
+      "  vdiff <doc_id> <from> <to>\n"
+      "  status\n"
       "  metrics\n"
       "  load [--connections N] [--pipeline D] [--requests N] [--rps R]\n"
       "       [--tenant NAME] [--format sexpr|xml] [--old DOC] [--new DOC]\n"
@@ -67,6 +84,79 @@ bool ParseFormat(const std::string& name, uint8_t* format) {
     return true;
   }
   return false;
+}
+
+/// Strict base-10 integer in [lo, hi].
+bool ParseInt(const char* text, long lo, long hi, long* out) {
+  if (*text == '\0') return false;
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  if (errno != 0 || *end != '\0' || v < lo || v > hi) return false;
+  *out = v;
+  return true;
+}
+
+/// One request-response command over `client`; `args` are the words after
+/// the command name. Returns the process exit code.
+int RunOneShot(SimpleClient& client, const std::string& command, int nargs,
+               char** args) {
+  WireResponse response;  // Stays OK for the text-only commands.
+  std::string text;
+  treediff::Status status = treediff::Status::Ok();
+  uint8_t format = kFormatSexpr;
+  long replicas = 0;
+  long from = 0;
+  long to = 0;
+  if (command == "open" && nargs >= 2 &&
+      std::strcmp(args[0], "--replicas") == 0) {
+    if (!ParseInt(args[1], 0, treediff::net::kMaxReplicas, &replicas)) {
+      return Usage();
+    }
+    args += 2;
+    nargs -= 2;
+  }
+  if (command == "ping" && nargs == 0) {
+    status = client.Ping();
+    text = "PONG\n";
+  } else if (command == "metrics" && nargs == 0) {
+    status = client.Metrics(&text);
+  } else if (command == "status" && nargs == 0) {
+    status = client.StatusText(&text);
+  } else if (command == "diff" && nargs == 3 &&
+             ParseFormat(args[0], &format)) {
+    status = client.Diff(args[1], args[2], format, &response);
+  } else if (command == "vdiff" && nargs == 3 &&
+             ParseInt(args[1], INT32_MIN, INT32_MAX, &from) &&
+             ParseInt(args[2], INT32_MIN, INT32_MAX, &to)) {
+    status = client.Vdiff(args[0], static_cast<int32_t>(from),
+                          static_cast<int32_t>(to), &response);
+  } else if (command == "open" && nargs == 3 &&
+             ParseFormat(args[1], &format)) {
+    status = client.Open(args[0], args[2], format, &response,
+                         static_cast<uint32_t>(replicas));
+  } else if (command == "commit" && nargs == 3 &&
+             ParseFormat(args[1], &format)) {
+    status = client.Commit(args[0], args[2], format, &response);
+  } else {
+    return Usage();
+  }
+  if (status.ok() && !response.ok()) {
+    status = treediff::Status(response.code(), response.payload);
+  }
+  if (!status.ok()) {
+    std::fprintf(stderr, "treediff_client: %s\n", status.ToString().c_str());
+    return 1;
+  }
+  if (command == "diff" || command == "vdiff") {
+    std::printf("ops=%u pruned=%u flags=0x%02x\n%s", response.value,
+                response.aux, response.flags, response.payload.c_str());
+  } else if (command == "open" || command == "commit") {
+    std::printf("OK version=%u\n", response.value);
+  } else {
+    std::fputs(text.c_str(), stdout);
+  }
+  return 0;
 }
 
 void PrintResult(const LoadGenResult& r, bool json) {
@@ -124,7 +214,7 @@ int main(int argc, char** argv) {
   if (port <= 0 || port > 65535 || i >= argc) return Usage();
   const std::string command = argv[i++];
 
-  if (command == "ping" || command == "metrics" || command == "diff") {
+  if (command != "load") {
     SimpleClient client;
     const treediff::Status connected =
         client.Connect(host, static_cast<uint16_t>(port));
@@ -133,51 +223,8 @@ int main(int argc, char** argv) {
                    connected.ToString().c_str());
       return 1;
     }
-    if (command == "ping") {
-      const treediff::Status status = client.Ping();
-      if (!status.ok()) {
-        std::fprintf(stderr, "treediff_client: %s\n",
-                     status.ToString().c_str());
-        return 1;
-      }
-      std::printf("PONG\n");
-      return 0;
-    }
-    if (command == "metrics") {
-      std::string text;
-      const treediff::Status status = client.Metrics(&text);
-      if (!status.ok()) {
-        std::fprintf(stderr, "treediff_client: %s\n",
-                     status.ToString().c_str());
-        return 1;
-      }
-      std::fputs(text.c_str(), stdout);
-      return 0;
-    }
-    // diff <format> <old> <new>
-    if (argc - i < 3) return Usage();
-    uint8_t format = kFormatSexpr;
-    if (!ParseFormat(argv[i], &format)) return Usage();
-    WireResponse response;
-    const treediff::Status status =
-        client.Diff(argv[i + 1], argv[i + 2], format, &response);
-    if (!status.ok()) {
-      std::fprintf(stderr, "treediff_client: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    if (!response.ok()) {
-      std::fprintf(stderr, "treediff_client: ERR %s %s\n",
-                   treediff::CodeName(response.code()),
-                   response.payload.c_str());
-      return 1;
-    }
-    std::printf("ops=%u pruned=%u flags=0x%02x\n%s",
-                response.value, response.aux, response.flags,
-                response.payload.c_str());
-    return 0;
+    return RunOneShot(client, command, argc - i, argv + i);
   }
-
-  if (command != "load") return Usage();
 
   LoadGenOptions options;
   options.host = host;
