@@ -28,6 +28,7 @@
 #include "gen/doc_gen.h"
 #include "gen/edit_sim.h"
 #include "service/diff_service.h"
+#include "util/stats.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -112,17 +113,19 @@ int main(int argc, char** argv) {
       futures.push_back(service.Submit(std::move(request)));
     }
     uint64_t shed = 0;
+    StatAccumulator e2e;
     for (auto& f : futures) {
-      if (!f.get().status.ok()) ++shed;
+      const DiffResponse response = f.get();
+      if (!response.status.ok()) ++shed;
+      e2e.Add(response.total_seconds);
     }
     const double wall =
         std::chrono::duration<double>(Clock::now() - t0).count();
 
     const TreeCache::Stats stats = service.cache_stats();
-    Histogram* e2e = service.metrics().histogram("diff_e2e_seconds");
     rows.push_back({scenario, threads, requests, wall,
                     static_cast<double>(requests) / wall,
-                    e2e->Quantile(0.5) * 1e3, e2e->Quantile(0.99) * 1e3,
+                    e2e.Percentile(50) * 1e3, e2e.Percentile(99) * 1e3,
                     static_cast<double>(stats.hits) /
                         static_cast<double>(stats.hits + stats.misses),
                     shed});

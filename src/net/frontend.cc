@@ -119,20 +119,20 @@ void Frontend::Execute(WireRequest request, Done done) {
 }
 
 Status Frontend::Open(const WireRequest& request) {
-  const DiffRequest::Format format = ToFormat(request.format);
-  if (request.replicas == 0) {
-    return service_->CreateStore(request.doc_id, request.old_doc, format);
-  }
-  // The id becomes part of a file name: vet it before any path exists.
-  TREEDIFF_RETURN_IF_ERROR(ValidateDocId(request.doc_id));
+  // Zero replicas is an in-memory group of one; otherwise every replica
+  // gets a log, and the id becomes part of its file name: vet it before
+  // any path exists.
   std::vector<ReplicaConfig> configs(request.replicas);
+  if (!configs.empty()) {
+    TREEDIFF_RETURN_IF_ERROR(ValidateDocId(request.doc_id));
+  }
   for (size_t r = 0; r < configs.size(); ++r) {
     configs[r].path = store_dir_ + "/" + request.doc_id + ".r" +
                       std::to_string(r) + ".log";
   }
-  return service_->CreateReplicatedStore(request.doc_id, request.old_doc,
-                                         std::move(configs),
-                                         AckMode::kLeaderOnly, format);
+  return service_->CreateStore(request.doc_id, request.old_doc,
+                               std::move(configs), AckMode::kLeaderOnly,
+                               ToFormat(request.format));
 }
 
 std::string Frontend::RenderStatus() {
@@ -145,7 +145,7 @@ std::string Frontend::RenderStatus() {
         << " retries=" << s.faults.transient_retries
         << " rotations=" << s.faults.rotations
         << " scrubs=" << s.faults.scrubs << "\n";
-    if (!s.replicated) continue;
+    if (!s.durable) continue;
     out << "REPL doc=" << s.doc_id << " epoch=" << s.repl_epoch
         << " primary=" << s.repl_primary;
     for (const ReplicaStatus& r : s.replicas) {

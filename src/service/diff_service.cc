@@ -135,20 +135,17 @@ int DiffService::ScrubNow() {
   }
   int scrubbed = 0;
   for (StoreEntry* entry : entries) {
-    if (entry->replicated != nullptr) {
-      // The group scrubs the primary's log *and* re-verifies every
-      // follower's CRC chain (divergence detection + resync).
-      entry->replicated->Scrub().IgnoreError();
-      scrub_runs_->Increment();
-      ++scrubbed;
-      continue;
-    }
-    MutexLock lock(&entry->mu);
-    if (!entry->store->durable()) continue;
-    const StatusOr<ScrubReport> report = entry->store->Scrub();
+    const std::shared_ptr<VersionStore> primary = entry->group->primary();
+    if (!primary->durable()) continue;
+    // The group scrubs the primary's log *and* re-verifies every
+    // follower's CRC chain (divergence detection + resync).
+    const StatusOr<ScrubReport> report = entry->group->Scrub();
     scrub_runs_->Increment();
     ++scrubbed;
-    if (report.ok() && report->corruption_found) {
+    // A primary that mirrors its fault counters into this registry has
+    // already counted the corrupt pass under the same name.
+    if (report.ok() && report->corruption_found &&
+        primary->metrics() != &metrics_) {
       scrub_corruption_found_->Increment();
     }
   }
@@ -171,18 +168,16 @@ std::vector<DiffService::StoreStatus> DiffService::StoreStatuses() {
     status.doc_id = id;
     {
       MutexLock lock(&entry->mu);
-      status.versions = entry->store->VersionCount();
-      status.durable = entry->store->durable();
-      status.faults = entry->store->fault_counters();
+      const std::shared_ptr<VersionStore> primary = entry->group->primary();
+      status.versions = primary->VersionCount();
+      status.durable = primary->durable();
+      status.faults = primary->fault_counters();
       status.health = entry->health;
       status.consecutive_failures = entry->consecutive_failures;
     }
-    if (entry->replicated != nullptr) {
-      status.replicated = true;
-      status.repl_epoch = entry->replicated->epoch();
-      status.repl_primary = entry->replicated->primary_index();
-      status.replicas = entry->replicated->Replicas();
-    }
+    status.repl_epoch = entry->group->epoch();
+    status.repl_primary = entry->group->primary_index();
+    status.replicas = entry->group->Replicas();
     statuses.push_back(std::move(status));
   }
   return statuses;
@@ -213,17 +208,17 @@ Status DiffService::GuardedStoreOp(
         std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
       }
     }
-    last = op(entry->store);
+    const std::shared_ptr<VersionStore> primary = entry->group->primary();
+    last = op(primary.get());
     if (last.ok()) break;
-    if (last.code() == Code::kFailedPrecondition &&
-        entry->store->durable()) {
+    if (last.code() == Code::kFailedPrecondition && primary->durable()) {
       // The store poisoned itself after an I/O failure. Heal it by
       // rotation and re-run the operation on the fresh log; no
       // acknowledged commit is lost (the in-memory state is the
       // acknowledged state). A failed repair falls through to the
       // transient/permanent classification below.
       store_repairs_->Increment();
-      const Status repaired = entry->store->Repair();
+      const Status repaired = primary->Repair();
       if (repaired.ok()) continue;
       last = repaired;
     }
@@ -237,17 +232,15 @@ Status DiffService::GuardedStoreOp(
     ++entry->consecutive_failures;
     if (entry->consecutive_failures >=
         std::max(options_.breaker_failure_threshold, 1)) {
-      // A replicated entry has a stronger recovery rung than quarantine:
-      // fail away from the sick primary. Promote the most-caught-up
-      // follower (fenced: the epoch bump invalidates the deposed
-      // primary's leases) and probe the new primary with the same op.
-      if (entry->replicated != nullptr &&
-          entry->replicated->Promote().ok()) {
+      // A group with followers has a stronger recovery rung than
+      // quarantine: fail away from the sick primary. Promote the
+      // most-caught-up follower (fenced: the epoch bump invalidates the
+      // deposed primary's leases) and probe the new primary with the same
+      // op. A group of one has no follower, so Promote fails.
+      if (entry->group->Promote().ok()) {
         store_failovers_->Increment();
-        entry->primary_holder = entry->replicated->primary();
-        entry->store = entry->primary_holder.get();
         entry->consecutive_failures = 0;
-        last = op(entry->store);
+        last = op(entry->group->primary().get());
         if (last.ok()) {
           entry->health = StoreHealth::kHealthy;
           return last;
@@ -565,16 +558,12 @@ StatusOr<std::shared_ptr<const CachedTree>> DiffService::ResolveVersion(
     return Status::NotFound("no store attached under doc_id \"" + doc_id +
                             "\"");
   }
-  // Replicated stores salt the cache key with the group epoch: a version
-  // number can be reused across a failover (a non-quorum-acked commit lost
-  // with the deposed primary, then the slot recommitted under the new
-  // epoch), and an unsalted key would keep serving the dead timeline.
+  // The key carries the group epoch: a version number can be reused
+  // across a failover (a non-quorum-acked commit lost with the deposed
+  // primary, then the slot recommitted under the new epoch), and a key
+  // without it would keep serving the dead timeline.
   const uint64_t key =
-      entry->replicated != nullptr
-          ? TreeCache::FingerprintVersion(
-                doc_id + "@e" + std::to_string(entry->replicated->epoch()),
-                version)
-          : TreeCache::FingerprintVersion(doc_id, version);
+      TreeCache::FingerprintVersion(doc_id, version, entry->group->epoch());
   if (auto cached = cache_.Lookup(key)) {
     *cache_hit = true;
     cache_hits_->Increment();
@@ -592,52 +581,15 @@ StatusOr<std::shared_ptr<const CachedTree>> DiffService::ResolveVersion(
           std::to_string(store->VersionCount() - 1) + "] for \"" + doc_id +
           "\"");
     }
-    // Replicated reads go through the group, which prefers a caught-up
-    // follower within the staleness bound and falls back to the primary.
-    StatusOr<Tree> materialized = entry->replicated != nullptr
-                                      ? entry->replicated->Materialize(version)
-                                      : store->Materialize(version);
+    // Reads go through the group, which prefers a caught-up follower
+    // within the staleness bound and falls back to the primary.
+    StatusOr<Tree> materialized = entry->group->Materialize(version);
     if (!materialized.ok()) return materialized.status();
     tree = std::move(materialized).value();
     return Status::Ok();
   });
   if (!status.ok()) return status;
   return cache_.Insert(key, std::move(*tree));
-}
-
-Status DiffService::AttachStore(const std::string& doc_id,
-                                VersionStore* store) {
-  if (store == nullptr) {
-    return Status::InvalidArgument("AttachStore: null store");
-  }
-  WriterMutexLock lock(&stores_mu_);
-  auto [it, inserted] = stores_.emplace(doc_id, nullptr);
-  if (!inserted) {
-    return Status::FailedPrecondition("doc_id \"" + doc_id +
-                                      "\" already attached");
-  }
-  it->second = std::make_unique<StoreEntry>();
-  it->second->store = store;
-  return Status::Ok();
-}
-
-Status DiffService::CreateStore(const std::string& doc_id,
-                                const std::string& base_doc,
-                                DiffRequest::Format format) {
-  StatusOr<Tree> base = ParseDoc(base_doc, format);
-  if (!base.ok()) return base.status();
-  auto owned = std::make_unique<VersionStore>(std::move(base).value(),
-                                              options_.diff);
-  WriterMutexLock lock(&stores_mu_);
-  auto [it, inserted] = stores_.emplace(doc_id, nullptr);
-  if (!inserted) {
-    return Status::FailedPrecondition("doc_id \"" + doc_id +
-                                      "\" already attached");
-  }
-  it->second = std::make_unique<StoreEntry>();
-  it->second->store = owned.get();
-  it->second->owned = std::move(owned);
-  return Status::Ok();
 }
 
 StatusOr<int> DiffService::CommitVersion(const std::string& doc_id,
@@ -657,12 +609,10 @@ StatusOr<int> DiffService::CommitVersion(const std::string& doc_id,
                               ? ParseSexpr(doc, store->label_table())
                               : ParseXml(doc, store->label_table());
     if (!tree.ok()) return tree.status();
-    // Replicated commits go through the group: a lease minted now fences
-    // the write against concurrent failovers, and quorum mode blocks for
-    // follower acks. Direct store->Commit would bypass both.
-    StatusOr<int> committed = entry->replicated != nullptr
-                                  ? entry->replicated->Commit(*tree)
-                                  : store->Commit(*tree);
+    // Commits go through the group: a lease minted now fences the write
+    // against concurrent failovers, and quorum mode blocks for follower
+    // acks. Direct store->Commit would bypass both.
+    StatusOr<int> committed = entry->group->Commit(*tree);
     if (!committed.ok()) return committed.status();
     version = *committed;
     return Status::Ok();
@@ -671,33 +621,11 @@ StatusOr<int> DiffService::CommitVersion(const std::string& doc_id,
   return version;
 }
 
-Status DiffService::AttachReplicatedStore(
-    const std::string& doc_id, std::shared_ptr<ReplicatedVersionStore> group) {
-  if (group == nullptr) {
-    return Status::InvalidArgument("AttachReplicatedStore: null group");
-  }
-  auto entry = std::make_unique<StoreEntry>();
-  entry->replicated = std::move(group);
-  {
-    MutexLock entry_lock(&entry->mu);
-    entry->primary_holder = entry->replicated->primary();
-    entry->store = entry->primary_holder.get();
-  }
-  WriterMutexLock lock(&stores_mu_);
-  auto [it, inserted] = stores_.emplace(doc_id, nullptr);
-  if (!inserted) {
-    return Status::FailedPrecondition("doc_id \"" + doc_id +
-                                      "\" already attached");
-  }
-  it->second = std::move(entry);
-  return Status::Ok();
-}
-
-Status DiffService::CreateReplicatedStore(const std::string& doc_id,
-                                          const std::string& base_doc,
-                                          std::vector<ReplicaConfig> replicas,
-                                          AckMode ack_mode,
-                                          DiffRequest::Format format) {
+Status DiffService::CreateStore(const std::string& doc_id,
+                                const std::string& base_doc,
+                                std::vector<ReplicaConfig> replicas,
+                                AckMode ack_mode,
+                                DiffRequest::Format format) {
   StatusOr<Tree> base = ParseDoc(base_doc, format);
   if (!base.ok()) return base.status();
   ReplicationOptions repl;
@@ -708,9 +636,24 @@ Status DiffService::CreateReplicatedStore(const std::string& doc_id,
   auto group = ReplicatedVersionStore::Create(
       std::move(replicas), std::move(base).value(), options_.diff, repl);
   if (!group.ok()) return group.status();
-  return AttachReplicatedStore(doc_id,
-                               std::shared_ptr<ReplicatedVersionStore>(
-                                   std::move(*group)));
+  return AttachStore(doc_id, std::move(*group));
+}
+
+Status DiffService::AttachStore(const std::string& doc_id,
+                                std::shared_ptr<ReplicatedVersionStore> group) {
+  if (group == nullptr) {
+    return Status::InvalidArgument("AttachStore: null group");
+  }
+  auto entry = std::make_unique<StoreEntry>();
+  entry->group = std::move(group);
+  WriterMutexLock lock(&stores_mu_);
+  auto [it, inserted] = stores_.emplace(doc_id, nullptr);
+  if (!inserted) {
+    return Status::FailedPrecondition("doc_id \"" + doc_id +
+                                      "\" already attached");
+  }
+  it->second = std::move(entry);
+  return Status::Ok();
 }
 
 }  // namespace treediff

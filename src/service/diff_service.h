@@ -27,8 +27,8 @@ namespace treediff {
 ///  * **Inline**: `old_doc`/`new_doc` carry the documents as text in
 ///    `format`; both are parsed (or fetched from the tree cache) into the
 ///    service's shared label table.
-///  * **Stored**: `doc_id` names a VersionStore previously attached with
-///    AttachStore or created with CreateStore, and `from_version`/
+///  * **Stored**: `doc_id` names a store previously created with
+///    CreateStore or attached with AttachStore, and `from_version`/
 ///    `to_version` select the two versions to diff.
 struct DiffRequest {
   enum class Format { kSexpr, kXml };
@@ -169,13 +169,18 @@ struct DiffServiceOptions {
 /// ladder so they cost less. Counters and latency histograms for every
 /// stage live in the service's MetricsRegistry.
 ///
-/// Attached stores are served through a resilience wrapper: transient
-/// store errors are retried with backoff, a poisoned durable store is
-/// repaired in place (VersionStore::Repair) and the request re-run, and a
-/// per-store circuit breaker (StoreHealth) quarantines a store that keeps
-/// failing so requests fail fast instead of piling onto it. An optional
-/// background scrubber re-verifies every durable store's log checksums on
-/// a timer (DiffServiceOptions::scrub_interval_seconds).
+/// Every store is a replication group (ReplicatedVersionStore); an
+/// in-memory store is a group of one. Reads and commits route through the
+/// group (staleness-bounded follower reads, lease-fenced quorum commits).
+/// Stores are served through a resilience wrapper: transient store errors
+/// are retried with backoff, a poisoned durable store is repaired in place
+/// (VersionStore::Repair) and the request re-run, a group with followers
+/// fails over to the most-caught-up one (fenced promotion) once its
+/// primary keeps failing, and a per-store circuit breaker (StoreHealth)
+/// quarantines a store that keeps failing so requests fail fast instead of
+/// piling onto it. An optional background scrubber re-verifies every
+/// durable store's log checksums on a timer
+/// (DiffServiceOptions::scrub_interval_seconds).
 ///
 /// Thread-safety: Submit and the store/metrics accessors may be called
 /// from any thread. Shutdown (or destruction) drains in-flight requests.
@@ -203,41 +208,25 @@ class DiffService {
   /// Submit + wait.
   DiffResponse SubmitSync(DiffRequest request);
 
-  /// Attaches an externally owned VersionStore under `doc_id`; the store
-  /// must outlive the service. All access is serialized per store.
-  Status AttachStore(const std::string& doc_id, VersionStore* store)
-      EXCLUDES(stores_mu_);
-
-  /// Creates a service-owned in-memory VersionStore whose version 0 is the
-  /// given document.
+  /// Creates a service-owned group whose version 0 is `base_doc`, parsed
+  /// into the service's label table. An empty `replicas` list makes an
+  /// in-memory group of one; otherwise replicas[0] is the durable initial
+  /// primary and the rest catch up by log shipping. The group's metrics
+  /// land in this service's registry.
   Status CreateStore(const std::string& doc_id, const std::string& base_doc,
+                     std::vector<ReplicaConfig> replicas = {},
+                     AckMode ack_mode = AckMode::kLeaderOnly,
                      DiffRequest::Format format = DiffRequest::Format::kSexpr)
       EXCLUDES(stores_mu_);
 
-  /// Attaches a replication group under `doc_id`. Reads and commits route
-  /// through the group (staleness-bounded follower reads, lease-fenced
-  /// quorum commits), and the circuit breaker gains a stronger recovery
-  /// rung: when the current primary fails past the breaker threshold, the
-  /// service promotes the most-caught-up follower (fenced failover) and
-  /// retries, instead of quarantining a store it could fail away from.
-  Status AttachReplicatedStore(const std::string& doc_id,
-                               std::shared_ptr<ReplicatedVersionStore> group)
+  /// Attaches an externally built group under `doc_id`. All service-side
+  /// store work is serialized per doc_id.
+  Status AttachStore(const std::string& doc_id,
+                     std::shared_ptr<ReplicatedVersionStore> group)
       EXCLUDES(stores_mu_);
 
-  /// Creates and attaches a service-owned replication group: the base
-  /// document is parsed into the service's label table and becomes version
-  /// 0 on replicas[0] (the initial primary); the remaining replicas catch
-  /// up by log shipping. The group's metrics land in this service's
-  /// registry.
-  Status CreateReplicatedStore(
-      const std::string& doc_id, const std::string& base_doc,
-      std::vector<ReplicaConfig> replicas,
-      AckMode ack_mode = AckMode::kLeaderOnly,
-      DiffRequest::Format format = DiffRequest::Format::kSexpr)
-      EXCLUDES(stores_mu_);
-
-  /// Commits a new version to a store created with CreateStore or attached
-  /// with AttachStore. Returns the new version number.
+  /// Commits a new version to the store under `doc_id`. Returns the new
+  /// version number.
   StatusOr<int> CommitVersion(
       const std::string& doc_id, const std::string& doc,
       DiffRequest::Format format = DiffRequest::Format::kSexpr)
@@ -253,8 +242,7 @@ class DiffService {
     int consecutive_failures = 0;
     VersionStore::FaultCounters faults;
 
-    /// Replication view (empty/zero for unreplicated stores).
-    bool replicated = false;
+    /// Replication view of the group.
     uint64_t repl_epoch = 0;
     int repl_primary = -1;
     std::vector<ReplicaStatus> replicas;
@@ -263,9 +251,9 @@ class DiffService {
   /// Status of every attached store, ordered by doc_id.
   std::vector<StoreStatus> StoreStatuses() EXCLUDES(stores_mu_);
 
-  /// Runs one scrub pass over every attached durable store — the same pass
-  /// the background scrubber runs every scrub_interval_seconds. Returns
-  /// the number of stores scrubbed.
+  /// Runs one scrub pass over every durable group (ReplicatedVersionStore::
+  /// Scrub) — the same pass the background scrubber runs every
+  /// scrub_interval_seconds. Returns the number of groups scrubbed.
   int ScrubNow() EXCLUDES(stores_mu_);
 
   /// The label table shared by every inline document this service parses.
@@ -285,21 +273,13 @@ class DiffService {
   using Clock = std::chrono::steady_clock;
 
   struct StoreEntry {
-    /// Serializes all use of the store, including parses into its
-    /// LabelTable (which Commit-side parsing mutates).
+    /// Serializes all service-side use of the store, including parses into
+    /// its LabelTable (which Commit-side parsing mutates).
     Mutex mu;
-    /// Attached or owned.get(); set before the entry is published under
-    /// stores_mu_. For replicated entries this tracks the group's *current
-    /// primary* and is re-pointed (under `mu`) when a breaker-driven
-    /// failover promotes a follower.
-    VersionStore* store PT_GUARDED_BY(mu) = nullptr;
-    std::unique_ptr<VersionStore> owned;  // CreateStore-owned stores.
-
-    /// Replication group (null for plain stores; set once before publish).
-    /// `primary_holder` pins the current primary so `store` cannot dangle
-    /// across the group's own lifecycle events.
-    std::shared_ptr<ReplicatedVersionStore> replicated;
-    std::shared_ptr<VersionStore> primary_holder GUARDED_BY(mu);
+    /// Set once before the entry is published under stores_mu_. Every
+    /// operation works on the group's *current* primary, fetched per use,
+    /// so a failover never leaves the entry pointing at a deposed store.
+    std::shared_ptr<ReplicatedVersionStore> group;
 
     /// Circuit-breaker state (see StoreHealth). Only server-side failures
     /// count toward the threshold — a client asking for a version that
@@ -359,10 +339,11 @@ class DiffService {
   /// shared: lookups on the request path don't serialize behind each other.
   StoreEntry* FindStore(const std::string& doc_id) EXCLUDES(stores_mu_);
 
-  /// Runs `op` against the entry's store under its lock, wrapped in the
-  /// service's resilience policy: breaker fast-fail while quarantined,
-  /// transient-error retry with doubling backoff, automatic Repair of a
-  /// poisoned durable store, and breaker bookkeeping on the final outcome.
+  /// Runs `op` against the group's current primary under the entry lock,
+  /// wrapped in the service's resilience policy: breaker fast-fail while
+  /// quarantined, transient-error retry with doubling backoff, automatic
+  /// Repair of a poisoned durable primary, failover to a follower, and
+  /// breaker bookkeeping on the final outcome.
   Status GuardedStoreOp(StoreEntry* entry,
                         const std::function<Status(VersionStore*)>& op);
 

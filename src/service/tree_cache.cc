@@ -103,10 +103,12 @@ uint64_t TreeCache::FingerprintText(std::string_view format_tag,
   return h ^ (static_cast<uint64_t>(Crc32c(text)) << 32);
 }
 
-uint64_t TreeCache::FingerprintVersion(std::string_view doc_id, int version) {
+uint64_t TreeCache::FingerprintVersion(std::string_view doc_id, int version,
+                                       uint64_t epoch) {
   uint64_t h = HashValueBytes("store-version");
   h = (h * 1099511628211ull) ^ HashValueBytes(doc_id);
-  return h ^ static_cast<uint64_t>(version);
+  h = (h * 1099511628211ull) ^ epoch;
+  return (h * 1099511628211ull) ^ static_cast<uint64_t>(version);
 }
 
 }  // namespace treediff

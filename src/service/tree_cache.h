@@ -82,8 +82,10 @@ class TreeCache {
   static uint64_t FingerprintText(std::string_view format_tag,
                                   std::string_view text);
 
-  /// Fingerprint of a stored version: `doc_id` plus version number.
-  static uint64_t FingerprintVersion(std::string_view doc_id, int version);
+  /// Fingerprint of a stored version: `doc_id`, version number, and the
+  /// store's replication epoch, each hashed as its own field.
+  static uint64_t FingerprintVersion(std::string_view doc_id, int version,
+                                     uint64_t epoch = 0);
 
  private:
   struct Shard {

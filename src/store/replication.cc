@@ -96,9 +96,6 @@ const char* ReplicaRoleName(ReplicaRole role) {
 StatusOr<std::unique_ptr<ReplicatedVersionStore>> ReplicatedVersionStore::
     Create(std::vector<ReplicaConfig> replicas, Tree base,
            DiffOptions diff_options, ReplicationOptions options) {
-  if (replicas.empty()) {
-    return Status::InvalidArgument("replication: at least one replica");
-  }
   for (ReplicaConfig& r : replicas) {
     if (r.env == nullptr) r.env = Env::Default();
     if (r.path.empty()) {
@@ -112,13 +109,21 @@ StatusOr<std::unique_ptr<ReplicatedVersionStore>> ReplicatedVersionStore::
   group->options_ = std::move(options);
   group->labels_ = base.label_table();
 
-  StoreOptions so = group->options_.store_options;
-  so.env = replicas[0].env;
-  so.labels = group->labels_;
-  auto primary = VersionStore::Create(replicas[0].path, std::move(base),
-                                      diff_options, so);
-  if (!primary.ok()) return primary.status();
-  auto primary_store = std::make_shared<VersionStore>(std::move(*primary));
+  std::shared_ptr<VersionStore> primary_store;
+  if (replicas.empty()) {
+    // A group of one in memory: the primary has no log to ship or scrub.
+    primary_store =
+        std::make_shared<VersionStore>(std::move(base), diff_options);
+    replicas.emplace_back();
+  } else {
+    StoreOptions so = group->options_.store_options;
+    so.env = replicas[0].env;
+    so.labels = group->labels_;
+    auto primary = VersionStore::Create(replicas[0].path, std::move(base),
+                                        diff_options, so);
+    if (!primary.ok()) return primary.status();
+    primary_store = std::make_shared<VersionStore>(std::move(*primary));
+  }
 
   for (size_t i = 0; i < replicas.size(); ++i) {
     auto state = std::make_unique<ReplicaState>();
@@ -134,7 +139,7 @@ StatusOr<std::unique_ptr<ReplicatedVersionStore>> ReplicatedVersionStore::
     group->states_.push_back(std::move(state));
   }
 
-  if (group->options_.background_ship) {
+  if (group->options_.background_ship && replicas.size() > 1) {
     ReplicatedVersionStore* raw = group.get();
     group->shipper_ = std::thread([raw] { raw->ShipLoop(); });
   }
@@ -658,13 +663,11 @@ Status ReplicatedVersionStore::Rejoin(int index) {
   return Status::Ok();
 }
 
-Status ReplicatedVersionStore::Scrub() {
+StatusOr<ScrubReport> ReplicatedVersionStore::Scrub() {
   std::shared_ptr<VersionStore> primary = PrimarySnapshot();
-  Status first;
-  if (primary) {
-    auto report = primary->Scrub();
-    if (!report.ok()) first = report.status();
-  }
+  StatusOr<ScrubReport> report = ScrubReport{};
+  if (primary && primary->durable()) report = primary->Scrub();
+  Status first = report.status();
   for (const auto& state_ptr : states_) {
     ReplicaState* state = state_ptr.get();
     MutexLock lock(&state->mu);
@@ -692,7 +695,8 @@ Status ReplicatedVersionStore::Scrub() {
       if (primary) ResyncLocked(state, primary).IgnoreError();
     }
   }
-  return first;
+  if (!first.ok()) return first;
+  return report;
 }
 
 std::vector<ReplicaStatus> ReplicatedVersionStore::Replicas() const {

@@ -150,7 +150,9 @@ class ReplicatedVersionStore {
   /// durable VersionStore with version 0 = `base`); the rest start as
   /// empty followers and catch up by shipping. All replicas share the base
   /// tree's LabelTable so trees materialized anywhere stay
-  /// diff-compatible across failovers.
+  /// diff-compatible across failovers. An empty `replicas` list makes a
+  /// group of one whose primary is an in-memory VersionStore (no Env, no
+  /// log). A group without followers starts no shipper thread.
   static StatusOr<std::unique_ptr<ReplicatedVersionStore>> Create(
       std::vector<ReplicaConfig> replicas, Tree base,
       DiffOptions diff_options = {}, ReplicationOptions options = {});
@@ -205,9 +207,11 @@ class ReplicatedVersionStore {
   /// discarded by a full resync from the current primary.
   Status Rejoin(int index) EXCLUDES(mu_);
 
-  /// Scrubs the primary (VersionStore::Scrub) and re-verifies every
+  /// Scrubs a durable primary (VersionStore::Scrub) and re-verifies every
   /// follower's CRC chain; a diverged or rotten follower is resynced.
-  Status Scrub();
+  /// Returns the primary's report (empty for an in-memory primary); a
+  /// follower read error fails the call after every replica was visited.
+  StatusOr<ScrubReport> Scrub();
 
   // --- Introspection (delegating reads go to the current primary) ---
 
@@ -235,8 +239,8 @@ class ReplicatedVersionStore {
     ReplicaRole role GUARDED_BY(mu) = ReplicaRole::kFollower;
 
     /// Open VersionStore while this replica is (or last was) the primary;
-    /// kept alive after deposal so raw pointers handed to the service
-    /// layer stay valid until Rejoin discards it.
+    /// kept after deposal until Rejoin discards it. Null for followers. In
+    /// an in-memory group of one it is the only store and has no log.
     std::shared_ptr<VersionStore> store GUARDED_BY(mu);
 
     // Shipping state (follower role).

@@ -198,6 +198,9 @@ class VersionStore {
   /// True when backed by a commit log.
   bool durable() const { return durable_; }
 
+  /// The registry the fault counters are mirrored into (StoreOptions).
+  MetricsRegistry* metrics() const { return store_options_.metrics; }
+
   /// The label table shared by the base, the head, and every materialized
   /// version. Trees passed to Commit must use this table — note that Open
   /// recovers into a *fresh* table, not the one the original snapshots were

@@ -46,34 +46,6 @@ double Histogram::Sum() const {
   return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
 }
 
-double Histogram::Mean() const {
-  const uint64_t n = Count();
-  return n == 0 ? 0.0 : Sum() / static_cast<double>(n);
-}
-
-double Histogram::Quantile(double q) const {
-  const uint64_t total = Count();
-  if (total == 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double rank = q * static_cast<double>(total);
-  double seen = 0.0;
-  for (int i = 0; i <= kBuckets; ++i) {
-    const double in_bucket = static_cast<double>(
-        buckets_[static_cast<size_t>(i)].load(std::memory_order_relaxed));
-    if (in_bucket == 0.0) continue;
-    if (seen + in_bucket >= rank) {
-      if (i == kBuckets) return BucketBound(kBuckets - 1);  // Overflow.
-      const double lo = i == 0 ? 0.0 : BucketBound(i - 1);
-      const double hi = BucketBound(i);
-      const double frac = (rank - seen) / in_bucket;
-      return lo + (hi - lo) * frac;
-    }
-    seen += in_bucket;
-  }
-  return BucketBound(kBuckets - 1);
-}
-
 namespace {
 
 /// "foo_total{tenant=\"x\"}" -> "foo_total"; label-free names pass through.

@@ -28,10 +28,8 @@ class Counter {
 /// upper bounds 1e-6 * 2^i for i in [0, kBuckets), i.e. 1 microsecond up to
 /// ~134 seconds when observations are in seconds — plus an overflow bucket.
 /// Observe is lock-free (two relaxed atomic adds and a CAS loop for the
-/// sum); quantiles are estimated by linear interpolation inside the bucket
-/// containing the requested rank, which is accurate to bucket resolution
-/// (a factor of 2) — the standard precision/overhead trade of counting
-/// histograms.
+/// sum). The Prometheus exposition publishes the cumulative buckets;
+/// quantiles are the scraper's to estimate.
 class Histogram {
  public:
   static constexpr int kBuckets = 28;
@@ -40,18 +38,13 @@ class Histogram {
 
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
   double Sum() const;
-  double Mean() const;
-
-  /// Estimated q-quantile (0 < q < 1) of everything observed; 0 with no
-  /// observations. Overflowed observations report the top bucket bound.
-  double Quantile(double q) const;
 
   /// Upper bound of bucket `i` (inclusive).
   static double BucketBound(int i);
 
   /// Observations in bucket `i` (i == kBuckets is the overflow bucket).
   /// Exposed for the Prometheus exposition, which needs cumulative
-  /// per-bucket counts, not just quantile estimates.
+  /// per-bucket counts.
   uint64_t BucketCount(int i) const {
     return buckets_[static_cast<size_t>(i)].load(std::memory_order_relaxed);
   }

@@ -19,6 +19,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <string>
@@ -27,6 +28,7 @@
 
 #include "service/diff_service.h"
 #include "store/log.h"
+#include "store/replication.h"
 #include "store/version_store.h"
 #include "tree/builder.h"
 #include "util/fault_env.h"
@@ -95,12 +97,17 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
   MemEnv mem;
   FaultInjectingEnv env(&mem, PlanForSeed(seed));
 
-  StatusOr<VersionStore> store = Status::Internal("never tried");
-  for (int i = 0; i < 64 && !store.ok(); ++i) {
-    store = VersionStore::Create("c.log", *ParseSexpr(DocText(0)), {},
-                                 ChaosStoreOptions(&env));
+  ReplicationOptions group_options;
+  group_options.store_options = ChaosStoreOptions(&env);
+  StatusOr<std::unique_ptr<ReplicatedVersionStore>> built =
+      Status::Internal("never tried");
+  for (int i = 0; i < 64 && !built.ok(); ++i) {
+    built = ReplicatedVersionStore::Create({ReplicaConfig{&env, "c.log"}},
+                                           *ParseSexpr(DocText(0)), {},
+                                           group_options);
   }
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::shared_ptr<ReplicatedVersionStore> group = std::move(*built);
 
   // Acked versions, shared between the writer (appends) and the readers
   // (sample endpoints for VDIFFs).
@@ -116,7 +123,7 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
     options.breaker_failure_threshold = 3;
     options.breaker_cooldown_seconds = 0.002;
     DiffService service(options);
-    ASSERT_TRUE(service.AttachStore("doc", &*store).ok());
+    ASSERT_TRUE(service.AttachStore("doc", group).ok());
 
     std::thread writer([&] {
       for (int v = 1; v <= kWriterCommits; ++v) {
@@ -157,8 +164,8 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
     for (std::thread& t : readers) t.join();
     service.Shutdown();
   }
-  rotations_seen = store->fault_counters().rotations;
-  store = Status::Internal("released");  // Close the writer handle.
+  rotations_seen = group->primary()->fault_counters().rotations;
+  group.reset();  // Close the writer handle.
 
   // Power loss: everything that was never fsync'd is gone.
   mem.DropUnsynced();

@@ -1,6 +1,8 @@
 #include "service/diff_service.h"
 
+#include "store/replication.h"
 #include "tree/builder.h"
+#include "util/fault_env.h"
 
 #include <gtest/gtest.h>
 
@@ -139,20 +141,56 @@ TEST(DiffServiceTest, UnknownStoreAndBadVersionsAreErrors) {
             Code::kNotFound);
 }
 
+DiffRequest StoredRequest(const std::string& doc_id, int from, int to) {
+  DiffRequest request;
+  request.doc_id = doc_id;
+  request.from_version = from;
+  request.to_version = to;
+  return request;
+}
+
 TEST(DiffServiceTest, AttachedStoreIsServed) {
-  auto labels = std::make_shared<LabelTable>();
-  VersionStore store(*ParseSexpr(kOld, labels));
-  ASSERT_TRUE(store.Commit(*ParseSexpr(kNew, labels)).ok());
+  MemEnv env;
+  auto group = ReplicatedVersionStore::Create({ReplicaConfig{&env, "ext.log"}},
+                                              *ParseSexpr(kOld));
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
+  ASSERT_TRUE(
+      (*group)->Commit(*ParseSexpr(kNew, (*group)->label_table())).ok());
 
   DiffService service(Options(1));
-  ASSERT_TRUE(service.AttachStore("ext", &store).ok());
-  DiffRequest request;
-  request.doc_id = "ext";
-  request.from_version = 0;
-  request.to_version = 1;
-  DiffResponse response = service.SubmitSync(std::move(request));
+  ASSERT_TRUE(service.AttachStore("ext", std::move(*group)).ok());
+  DiffResponse response = service.SubmitSync(StoredRequest("ext", 0, 1));
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   EXPECT_GT(response.operations, 0u);
+}
+
+// A stored version's tree-cache key hashes doc id, epoch, and version as
+// separate fields. An in-memory store whose id spells another store's id
+// and epoch ("x@e0") therefore never shares a cache entry with it.
+TEST(DiffServiceTest, StoredVersionCacheKeysDoNotCollideAcrossStores) {
+  constexpr const char* kOtherNew =
+      "(D (P (S \"alpha one two\")) (P (S \"zeta nine ten\")))";
+  MemEnv env;
+  DiffService service(Options(1));
+  ASSERT_TRUE(service.CreateStore("x@e0", kOld).ok());
+  ASSERT_TRUE(
+      service.CreateStore("x", kOld, {ReplicaConfig{&env, "x.r0.log"}}).ok());
+  ASSERT_TRUE(service.CommitVersion("x@e0", kNew).ok());
+  ASSERT_TRUE(service.CommitVersion("x", kOtherNew).ok());
+  const DiffResponse warm = service.SubmitSync(StoredRequest("x", 0, 1));
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  const DiffResponse served = service.SubmitSync(StoredRequest("x@e0", 0, 1));
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+
+  DiffService fresh(Options(1));
+  ASSERT_TRUE(fresh.CreateStore("x@e0", kOld).ok());
+  ASSERT_TRUE(fresh.CommitVersion("x@e0", kNew).ok());
+  const DiffResponse expected = fresh.SubmitSync(StoredRequest("x@e0", 0, 1));
+  ASSERT_TRUE(expected.status.ok()) << expected.status.ToString();
+
+  EXPECT_NE(warm.script, expected.script);  // The two version 1s differ.
+  EXPECT_EQ(served.script, expected.script);
+  EXPECT_EQ(served.operations, expected.operations);
 }
 
 TEST(DiffServiceTest, DeadlineExhaustedRequestsAreShed) {

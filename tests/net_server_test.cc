@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -169,6 +170,17 @@ TEST(NetServerTest, ReplicatedOpenCommitAndStatusOpcodes) {
         << status;
     EXPECT_NE(status.find("REPL doc=doc-r epoch="), std::string::npos)
         << status;
+    // Leader-only acks return before the followers have shipped, and a
+    // follower's log file appears with its first shipped batch: wait until
+    // the status shows both followers caught up.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (status.find("r1=follower:lag=0 r2=follower:lag=0") ==
+               std::string::npos &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      ASSERT_TRUE(client.StatusText(&status).ok());
+    }
     for (int r = 0; r < 3; ++r) {
       EXPECT_TRUE(fs::exists(dir / ("doc-r.r" + std::to_string(r) + ".log")))
           << "replica " << r;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -531,6 +532,71 @@ TEST(ReplicationTest, MetricsRegistryMirrorsReplicationActivity) {
 }
 
 // ---------------------------------------------------------------------------
+// Groups without followers.
+
+/// Live threads of this process, one /proc/self/task entry each (Linux).
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ReplicationTest, EmptyReplicaListIsAnInMemoryGroupOfOne) {
+  auto built = ReplicatedVersionStore::Create({}, *ParseSexpr(DocText(0)));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ReplicatedVersionStore& group = **built;
+  EXPECT_FALSE(group.primary()->durable());
+  for (int v = 1; v <= 3; ++v) {
+    auto committed =
+        group.Commit(*ParseSexpr(DocText(v), group.label_table()));
+    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+    EXPECT_EQ(*committed, v);
+  }
+  auto tree = group.Materialize(2);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_TRUE(Tree::Isomorphic(
+      *tree, *ParseSexpr(DocText(2), group.label_table())));
+
+  const std::vector<ReplicaStatus> replicas = group.Replicas();
+  ASSERT_EQ(replicas.size(), 1u);
+  EXPECT_EQ(replicas[0].role, ReplicaRole::kPrimary);
+  EXPECT_EQ(group.Promote().status().code(), Code::kFailedPrecondition);
+  auto report = group.Scrub();  // Nothing to scrub: no log.
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->bytes_verified, 0u);
+  EXPECT_FALSE(report->corruption_found);
+}
+
+TEST(ReplicationTest, GroupsWithoutFollowersStartNoShipperThread) {
+  const size_t before = ThreadCount();
+  ReplicationOptions options;
+  ASSERT_TRUE(options.background_ship);
+  auto in_memory =
+      ReplicatedVersionStore::Create({}, *ParseSexpr(DocText(0)), {}, options);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  EXPECT_LE(ThreadCount(), before);
+
+  MemEnv solo_env;
+  auto solo = ReplicatedVersionStore::Create(
+      {ReplicaConfig{&solo_env, "solo.log"}}, *ParseSexpr(DocText(0)), {},
+      options);
+  ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+  EXPECT_LE(ThreadCount(), before);
+
+  // Control: one follower is enough to start the shipper.
+  MemEnv envs[2];
+  auto pair = ReplicatedVersionStore::Create(
+      {ReplicaConfig{&envs[0], "p.log"}, ReplicaConfig{&envs[1], "f.log"}},
+      *ParseSexpr(DocText(0)), {}, options);
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  EXPECT_GE(ThreadCount(), before + 1);
+}
+
+// ---------------------------------------------------------------------------
 // DiffService integration: replicated stores behind the circuit breaker.
 
 TEST(ReplicationServiceTest, ServiceRoutesReadsAndCommitsThroughGroup) {
@@ -543,8 +609,7 @@ TEST(ReplicationServiceTest, ServiceRoutesReadsAndCommitsThroughGroup) {
   options.num_threads = 2;
   options.sleep = [](double) {};
   DiffService service(options);
-  ASSERT_TRUE(
-      service.CreateReplicatedStore("doc", DocText(0), configs).ok());
+  ASSERT_TRUE(service.CreateStore("doc", DocText(0), configs).ok());
 
   auto v1 = service.CommitVersion("doc", DocText(1));
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
@@ -560,7 +625,7 @@ TEST(ReplicationServiceTest, ServiceRoutesReadsAndCommitsThroughGroup) {
 
   std::vector<DiffService::StoreStatus> statuses = service.StoreStatuses();
   ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_TRUE(statuses[0].replicated);
+  EXPECT_TRUE(statuses[0].durable);
   EXPECT_EQ(statuses[0].repl_epoch, 0u);
   EXPECT_EQ(statuses[0].repl_primary, 0);
   ASSERT_EQ(statuses[0].replicas.size(), 3u);
@@ -584,8 +649,7 @@ TEST(ReplicationServiceTest, BreakerOpenPromotesFollowerAndResumesTraffic) {
     DiffServiceOptions options;
     options.sleep = [](double) {};
     DiffService service(options);
-    ASSERT_TRUE(
-        service.CreateReplicatedStore("doc", DocText(0), configs).ok());
+    ASSERT_TRUE(service.CreateStore("doc", DocText(0), configs).ok());
     ASSERT_TRUE(service.CommitVersion("doc", DocText(1)).ok());
     syncs_through_v1 = probe.sync_calls();
   }
@@ -603,7 +667,7 @@ TEST(ReplicationServiceTest, BreakerOpenPromotesFollowerAndResumesTraffic) {
   options.store_retry_attempts = 1;
   options.breaker_failure_threshold = 1;
   DiffService service(options);
-  ASSERT_TRUE(service.CreateReplicatedStore("doc", DocText(0), configs).ok());
+  ASSERT_TRUE(service.CreateStore("doc", DocText(0), configs).ok());
   ASSERT_TRUE(service.CommitVersion("doc", DocText(1)).ok());
 
   // Let the shipper catch the followers up before the primary dies, so the

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "service/diff_service.h"
 #include "store/log.h"
+#include "store/replication.h"
 #include "store/version_store.h"
 #include "tree/builder.h"
 #include "util/fault_env.h"
@@ -36,6 +38,16 @@ StoreOptions QuietStoreOptions(Env* env) {
   return store_options;
 }
 
+/// A one-replica durable group at `path` on `env` whose version 0 is
+/// DocText(0), built with the test's own store knobs.
+StatusOr<std::unique_ptr<ReplicatedVersionStore>> DurableGroup(
+    Env* env, const std::string& path, StoreOptions store_options) {
+  ReplicationOptions options;
+  options.store_options = std::move(store_options);
+  return ReplicatedVersionStore::Create({ReplicaConfig{env, path}},
+                                        *ParseSexpr(DocText(0)), {}, options);
+}
+
 DiffServiceOptions QuietServiceOptions() {
   DiffServiceOptions options;
   options.num_threads = 2;
@@ -58,17 +70,17 @@ TEST(ServiceResilienceTest, TransientStoreFaultsAreRetriedBehindTheApi) {
   // surfaces to the service as kUnavailable — the layer under test here.
   StoreOptions store_options = QuietStoreOptions(&env);
   store_options.retry.max_attempts = 1;
-  StatusOr<VersionStore> store = Status::Internal("never tried");
-  for (int i = 0; i < 64 && !store.ok(); ++i) {
-    store = VersionStore::Create("svc.log", *ParseSexpr(DocText(0)), {},
-                                 store_options);
+  StatusOr<std::unique_ptr<ReplicatedVersionStore>> group =
+      Status::Internal("never tried");
+  for (int i = 0; i < 64 && !group.ok(); ++i) {
+    group = DurableGroup(&env, "svc.log", store_options);
   }
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
 
   DiffServiceOptions options = QuietServiceOptions();
   options.store_retry_attempts = 6;
   DiffService service(options);
-  ASSERT_TRUE(service.AttachStore("doc", &*store).ok());
+  ASSERT_TRUE(service.AttachStore("doc", std::move(*group)).ok());
 
   for (int v = 1; v <= 8; ++v) {
     StatusOr<int> version = service.CommitVersion("doc", DocText(v));
@@ -93,16 +105,15 @@ TEST(ServiceResilienceTest, BreakerTripsFastFailsAndRecoversViaRepair) {
   FaultPlan plan;
   plan.fail_sync_at = 2;  // Create's fsync is #1; the first commit dies.
   FaultInjectingEnv env(&mem, plan);
-  auto store = VersionStore::Create("svc.log", *ParseSexpr(DocText(0)), {},
-                                    QuietStoreOptions(&env));
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto group = DurableGroup(&env, "svc.log", QuietStoreOptions(&env));
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
 
   DiffServiceOptions options = QuietServiceOptions();
   options.store_retry_attempts = 2;
   options.breaker_failure_threshold = 2;
   options.breaker_cooldown_seconds = 0.05;
   DiffService service(options);
-  ASSERT_TRUE(service.AttachStore("doc", &*store).ok());
+  ASSERT_TRUE(service.AttachStore("doc", std::move(*group)).ok());
 
   // Failure 1: the terminal sync fault fires; the env goes down and the
   // store poisons itself. Server-side error -> degraded.
@@ -183,61 +194,86 @@ TEST(ServiceResilienceTest, ClientErrorsDoNotTripTheBreaker) {
   service.Shutdown();
 }
 
-TEST(ServiceResilienceTest, ScrubNowCoversDurableStoresAndFindsBitRot) {
-  MemEnv env;
-  auto store = VersionStore::Create("svc.log", *ParseSexpr(DocText(0)), {},
-                                    QuietStoreOptions(&env));
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  for (int v = 1; v <= 4; ++v) {
-    ASSERT_TRUE(store->Commit(*ParseSexpr(DocText(v), store->label_table()))
-                    .ok());
-  }
-
-  DiffService service(QuietServiceOptions());
-  ASSERT_TRUE(service.AttachStore("durable", &*store).ok());
-  ASSERT_TRUE(service.CreateStore("ephemeral", DocText(0)).ok());
-
-  // Only the durable store is scrubbable.
-  EXPECT_EQ(service.ScrubNow(), 1);
-  EXPECT_EQ(CounterValue(&service, "store_scrub_runs_total"), 1u);
-  EXPECT_EQ(CounterValue(&service, "store_scrub_corruption_total"), 0u);
-
-  // Flip a cold byte; the next pass catches and repairs it.
-  auto file = env.NewRandomAccessFile("svc.log");
+/// Flips a payload byte of the second record of the log at `path`.
+void CorruptSecondRecord(MemEnv* env, const std::string& path) {
+  auto file = env->NewRandomAccessFile(path);
   ASSERT_TRUE(file.ok());
   auto scan = ScanLog(file->get());
   ASSERT_TRUE(scan.ok());
   ASSERT_GE(scan->records.size(), 2u);
-  ASSERT_TRUE(env.CorruptByte("svc.log",
-                              scan->records[1].offset + kLogRecordHeaderSize,
-                              0x10)
+  ASSERT_TRUE(env->CorruptByte(path,
+                               scan->records[1].offset + kLogRecordHeaderSize,
+                               0x10)
                   .ok());
-  EXPECT_EQ(service.ScrubNow(), 1);
+}
+
+TEST(ServiceResilienceTest, ScrubNowCoversDurableStoresAndFindsBitRot) {
+  MemEnv env;
+  auto built = DurableGroup(&env, "svc.log", QuietStoreOptions(&env));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::shared_ptr<ReplicatedVersionStore> group = std::move(*built);
+  for (int v = 1; v <= 4; ++v) {
+    ASSERT_TRUE(group->Commit(*ParseSexpr(DocText(v), group->label_table()))
+                    .ok());
+  }
+
+  DiffService service(QuietServiceOptions());
+  // An attached group with no metrics registry, an in-memory group, and a
+  // service-created durable group whose store counters are mirrored into
+  // the service's registry.
+  ASSERT_TRUE(service.AttachStore("durable", group).ok());
+  ASSERT_TRUE(service.CreateStore("ephemeral", DocText(0)).ok());
+  ASSERT_TRUE(service
+                  .CreateStore("mirrored", DocText(0),
+                               {ReplicaConfig{&env, "mirrored.log"}})
+                  .ok());
+  for (int v = 1; v <= 4; ++v) {
+    ASSERT_TRUE(service.CommitVersion("mirrored", DocText(v)).ok());
+  }
+
+  // Only the durable groups are scrubbable.
+  EXPECT_EQ(service.ScrubNow(), 2);
+  EXPECT_EQ(CounterValue(&service, "store_scrub_runs_total"), 2u);
+  EXPECT_EQ(CounterValue(&service, "store_scrub_corruption_total"), 0u);
+
+  // Flip a cold byte; the next pass catches and repairs it, and the
+  // corrupt pass counts exactly once.
+  ASSERT_NO_FATAL_FAILURE(CorruptSecondRecord(&env, "svc.log"));
+  EXPECT_EQ(service.ScrubNow(), 2);
   EXPECT_EQ(CounterValue(&service, "store_scrub_corruption_total"), 1u);
   auto statuses = service.StoreStatuses();
-  ASSERT_EQ(statuses.size(), 2u);  // Ordered by doc_id: durable first.
+  ASSERT_EQ(statuses.size(), 3u);  // Ordered by doc_id: durable first.
   EXPECT_EQ(statuses[0].doc_id, "durable");
   EXPECT_GT(statuses[0].faults.rotations, 0u);
   EXPECT_EQ(statuses[1].doc_id, "ephemeral");
   EXPECT_FALSE(statuses[1].durable);
 
-  // Commits keep landing on the repaired log.
+  // The same for the mirrored group: its store and the service write the
+  // same counter name, and the pass still counts once.
+  ASSERT_NO_FATAL_FAILURE(CorruptSecondRecord(&env, "mirrored.log"));
+  EXPECT_EQ(service.ScrubNow(), 2);
+  EXPECT_EQ(CounterValue(&service, "store_scrub_corruption_total"), 2u);
+  EXPECT_EQ(CounterValue(&service, "store_scrub_runs_total"), 6u);
+  EXPECT_EQ(service.StoreStatuses()[2].faults.scrub_corruption, 1u);
+
+  // Commits keep landing on the repaired logs.
   StatusOr<int> version = service.CommitVersion("durable", DocText(5));
   ASSERT_TRUE(version.ok()) << version.status().ToString();
   EXPECT_EQ(*version, 5);
+  ASSERT_TRUE(service.CommitVersion("mirrored", DocText(5)).ok());
   service.Shutdown();
 }
 
 TEST(ServiceResilienceTest, BackgroundScrubberRunsOnItsTimer) {
   MemEnv env;
-  auto store = VersionStore::Create("svc.log", *ParseSexpr(DocText(0)), {},
-                                    QuietStoreOptions(&env));
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto built = DurableGroup(&env, "svc.log", QuietStoreOptions(&env));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::shared_ptr<ReplicatedVersionStore> group = std::move(*built);
 
   DiffServiceOptions options = QuietServiceOptions();
   options.scrub_interval_seconds = 0.01;
   DiffService service(options);
-  ASSERT_TRUE(service.AttachStore("doc", &*store).ok());
+  ASSERT_TRUE(service.AttachStore("doc", group).ok());
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -247,7 +283,7 @@ TEST(ServiceResilienceTest, BackgroundScrubberRunsOnItsTimer) {
   }
   EXPECT_GT(CounterValue(&service, "store_scrub_runs_total"), 0u);
   service.Shutdown();  // Must join the scrubber without hanging.
-  EXPECT_EQ(store->fault_counters().scrub_corruption, 0u);
+  EXPECT_EQ(group->primary()->fault_counters().scrub_corruption, 0u);
 }
 
 }  // namespace

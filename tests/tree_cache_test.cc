@@ -99,6 +99,8 @@ TEST(TreeCacheTest, FingerprintsSeparateFormatsAndContents) {
             TreeCache::FingerprintVersion("doc", 2));
   EXPECT_NE(TreeCache::FingerprintVersion("doc", 1),
             TreeCache::FingerprintVersion("cod", 1));
+  EXPECT_NE(TreeCache::FingerprintVersion("doc", 1, 0),
+            TreeCache::FingerprintVersion("doc", 1, 1));
 }
 
 TEST(TreeCacheTest, ConcurrentInsertAndLookupConverge) {

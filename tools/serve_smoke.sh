@@ -4,7 +4,8 @@
 # Starts treediff_serve on ephemeral ports with stdin at EOF, drives every
 # serving verb through treediff_client (ping, diff, open, replicated open,
 # commit, vdiff, status, metrics), then sends SIGTERM and requires a clean
-# exit 0. Any non-OK response, non-zero exit or missing output fails the
+# exit 0. The status check pins the REPL lines: one for each durable
+# group, none for the in-memory store. Any non-OK response, non-zero exit or missing output fails the
 # script. Because stdin is /dev/null the whole run also proves that EOF on
 # stdin does not stop the server.
 #
@@ -55,6 +56,16 @@ expect() {
   grep -q -- "$regex" <<<"$out" || fail "$name: no /$regex/ in: $out"
 }
 
+# reject NAME REGEX ARGS...: like expect, but no output line may match.
+reject() {
+  local name="$1" regex="$2" out
+  shift 2
+  out="$("$client" --port "$port" "$@")" || fail "$name: client exit non-zero"
+  if grep -q -- "$regex" <<<"$out"; then
+    fail "$name: unexpected /$regex/ in: $out"
+  fi
+}
+
 old='(D (P (S "alpha beta gamma")))'
 new='(D (P (S "alpha beta delta")) (P (S "epsilon")))'
 
@@ -65,8 +76,11 @@ expect commit '^OK version=1$' commit doc sexpr "$new"
 expect vdiff '^ops=[1-9]' vdiff doc 0 1
 expect open-replicated '^OK version=0$' open --replicas 2 rdoc sexpr "$old"
 expect commit-replicated '^OK version=1$' commit rdoc sexpr "$new"
+expect open-solo '^OK version=0$' open --replicas 1 sdoc sexpr "$old"
 expect status '^store=doc versions=2 ' status
+reject status-in-memory '^REPL doc=doc ' status
 expect status-repl '^REPL doc=rdoc epoch=' status
+expect status-solo '^REPL doc=sdoc epoch=0 primary=0 r0=primary:lag=0$' status
 expect metrics '^# TYPE net_frames_total counter$' metrics
 
 # A bad doc id is refused, and the client reports it with a non-zero exit.
