@@ -40,6 +40,11 @@ bool CountsTowardBreaker(const Status& status) {
   }
 }
 
+Status AlreadyAttached(const std::string& doc_id) {
+  return Status::FailedPrecondition("doc_id \"" + doc_id +
+                                    "\" already attached");
+}
+
 }  // namespace
 
 const char* StoreHealthName(StoreHealth health) {
@@ -628,31 +633,66 @@ Status DiffService::CreateStore(const std::string& doc_id,
                                 DiffRequest::Format format) {
   StatusOr<Tree> base = ParseDoc(base_doc, format);
   if (!base.ok()) return base.status();
+  auto group = ReplicatedVersionStore::Create(
+      std::move(replicas), std::move(base).value(), options_.diff,
+      GroupOptions(ack_mode));
+  if (!group.ok()) return group.status();
+  return AttachStore(doc_id, std::move(*group));
+}
+
+StatusOr<int> DiffService::RecoverStore(const std::string& doc_id,
+                                        const std::string& base_doc,
+                                        std::vector<ReplicaConfig> replicas,
+                                        AckMode ack_mode,
+                                        DiffRequest::Format format) {
+  {
+    // Claim the id before touching any log: recovery must never reopen a
+    // log that an attached group, or a concurrent recovery, still writes.
+    WriterMutexLock lock(&stores_mu_);
+    if (stores_.count(doc_id) > 0 || !recovering_.insert(doc_id).second) {
+      return AlreadyAttached(doc_id);
+    }
+  }
+  const StatusOr<Tree> base = ParseDoc(base_doc, format);
+  StatusOr<std::unique_ptr<ReplicatedVersionStore>> group = base.status();
+  if (base.ok()) {
+    group = ReplicatedVersionStore::Open(std::move(replicas), *base,
+                                         options_.diff, GroupOptions(ack_mode));
+  }
+  const int head = group.ok() ? (*group)->primary()->VersionCount() - 1 : 0;
+  WriterMutexLock lock(&stores_mu_);
+  recovering_.erase(doc_id);
+  if (!group.ok()) return group.status();
+  TREEDIFF_RETURN_IF_ERROR(AttachLocked(doc_id, std::move(*group)));
+  return head;
+}
+
+ReplicationOptions DiffService::GroupOptions(AckMode ack_mode) {
   ReplicationOptions repl;
   repl.ack_mode = ack_mode;
   repl.metrics = &metrics_;
   repl.store_options.metrics = &metrics_;
   repl.store_options.sleep = options_.sleep;
-  auto group = ReplicatedVersionStore::Create(
-      std::move(replicas), std::move(base).value(), options_.diff, repl);
-  if (!group.ok()) return group.status();
-  return AttachStore(doc_id, std::move(*group));
+  return repl;
 }
 
 Status DiffService::AttachStore(const std::string& doc_id,
                                 std::shared_ptr<ReplicatedVersionStore> group) {
+  WriterMutexLock lock(&stores_mu_);
+  return AttachLocked(doc_id, std::move(group));
+}
+
+Status DiffService::AttachLocked(
+    const std::string& doc_id, std::shared_ptr<ReplicatedVersionStore> group) {
   if (group == nullptr) {
     return Status::InvalidArgument("AttachStore: null group");
   }
+  if (stores_.count(doc_id) > 0 || recovering_.count(doc_id) > 0) {
+    return AlreadyAttached(doc_id);
+  }
   auto entry = std::make_unique<StoreEntry>();
   entry->group = std::move(group);
-  WriterMutexLock lock(&stores_mu_);
-  auto [it, inserted] = stores_.emplace(doc_id, nullptr);
-  if (!inserted) {
-    return Status::FailedPrecondition("doc_id \"" + doc_id +
-                                      "\" already attached");
-  }
-  it->second = std::move(entry);
+  stores_.emplace(doc_id, std::move(entry));
   return Status::Ok();
 }
 

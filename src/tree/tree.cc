@@ -542,4 +542,22 @@ std::string Tree::ToDebugString() const {
   return out;
 }
 
+size_t Tree::DebugStringSize() const {
+  if (root_ == kInvalidNode) return 2;  // "()"
+  // Per node: "(" label [" \"" value "\""] ")", plus one separating space
+  // per child; every node but the root is someone's child.
+  size_t bytes = 0;
+  std::vector<NodeId> stack = {root_};
+  while (!stack.empty()) {
+    const NodeId x = stack.back();
+    stack.pop_back();
+    bytes += 2 + label_name(x).size();
+    if (!value(x).empty()) bytes += 3 + value(x).size();
+    const auto& kids = children(x);
+    bytes += kids.size();
+    stack.insert(stack.end(), kids.begin(), kids.end());
+  }
+  return bytes;
+}
+
 }  // namespace treediff

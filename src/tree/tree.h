@@ -222,6 +222,10 @@ class Tree {
   /// are omitted.
   std::string ToDebugString() const;
 
+  /// ToDebugString().size(), counted without building the string: the
+  /// snapshot-bytes figure VersionStore records per version.
+  size_t DebugStringSize() const;
+
   // ----- Index attachment -----
   // A TreeIndex registers itself as an observer so that the edit operations
   // above keep it consistent (see tree_index.h). Attachment is logically

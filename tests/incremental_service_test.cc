@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/script_io.h"
+#include "gen/doc_gen.h"
+#include "gen/edit_sim.h"
+#include "gen/vocab.h"
 #include "service/diff_service.h"
 
 namespace treediff {
@@ -198,6 +204,103 @@ TEST(IncrementalServiceTest, ConcurrentIncrementalSubmitsStayConsistent) {
   // Every inline pair after the first should have hit the matching cache.
   EXPECT_GE(service.metrics().counter("diff_match_cache_hits_total")->Value(),
             static_cast<uint64_t>(kThreads * kPerThread / 2 - kThreads));
+}
+
+/// A stored-mode chain like the deployed benchmark's: a 64-section document
+/// with 10% duplicate sentences (ambiguous share-map twins), then
+/// `versions` successors at a 1% edit rate. All trees share `labels`.
+std::vector<Tree> MakeChain(uint64_t seed, int versions,
+                            const std::shared_ptr<LabelTable>& labels) {
+  Vocabulary vocab(3000, 1.0);
+  Rng rng(seed);
+  DocGenParams params;
+  params.sections = 64;
+  params.min_paragraphs_per_section = 4;
+  params.max_paragraphs_per_section = 8;
+  params.duplicate_sentence_probability = 0.1;
+  std::vector<Tree> chain;
+  chain.push_back(GenerateDocument(params, vocab, &rng, labels));
+  const int edits = std::max(
+      1, static_cast<int>(0.01 * static_cast<double>(
+                                     chain.front().Leaves().size())));
+  for (int v = 1; v <= versions; ++v) {
+    chain.push_back(
+        SimulateNewVersion(chain.back(), edits, EditMix{}, vocab, &rng)
+            .new_tree);
+  }
+  return chain;
+}
+
+TEST(IncrementalServiceTest, AdjacentAnswersFromTheLogEqualLiveDiffs) {
+  // One rule for every path: the delta a commit stores, and so the
+  // adjacent kVdiff the chain log answers, is byte-identical to a live
+  // diff of the two materialized versions under the service's read
+  // options (the share-map pre-pass on).
+  constexpr int kVersions = 40;
+  DiffServiceOptions options;
+  options.num_threads = 2;
+  options.incremental = true;
+  DiffService service(options);
+  auto labels = std::make_shared<LabelTable>();
+  const std::vector<Tree> chain = MakeChain(20261018, kVersions, labels);
+  auto group = ReplicatedVersionStore::Create({}, chain[0].Clone());
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
+  std::shared_ptr<ReplicatedVersionStore> shared = std::move(*group);
+  ASSERT_TRUE(service.AttachStore("chain", shared).ok());
+  for (int v = 1; v <= kVersions; ++v) {
+    ASSERT_TRUE(service
+                    .CommitVersion("chain", chain[static_cast<size_t>(v)]
+                                                .ToDebugString())
+                    .ok());
+  }
+
+  DiffOptions read = options.diff;
+  read.share_mode = ShareMode::kIndexed;
+  int differing = 0;
+  for (int v = 1; v <= kVersions; ++v) {
+    DiffRequest request;
+    request.doc_id = "chain";
+    request.from_version = v - 1;
+    request.to_version = v;
+    const DiffResponse logged = service.SubmitSync(request);
+    ASSERT_TRUE(logged.status.ok()) << logged.status.ToString();
+    ASSERT_TRUE(logged.chain_log_hit) << "v" << v;
+
+    StatusOr<Tree> from = shared->Materialize(v - 1);
+    StatusOr<Tree> to = shared->Materialize(v);
+    ASSERT_TRUE(from.ok() && to.ok());
+    StatusOr<DiffResult> live = DiffTrees(*from, *to, read);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    const std::string live_text =
+        FormatEditScript(live->script, *shared->label_table());
+    if (logged.script != live_text) ++differing;
+    EXPECT_EQ(logged.operations, live->script.size()) << "v" << v;
+  }
+  EXPECT_EQ(differing, 0);
+}
+
+TEST(IncrementalServiceTest, CommitsIgnoreTheStoreShareMode) {
+  // The commit rule lives in the store: a store built with any share_mode
+  // stores the same deltas, so a mirror built with DiffOptions{} reproduces
+  // a server's node ids exactly.
+  constexpr int kVersions = 12;
+  auto labels = std::make_shared<LabelTable>();
+  const std::vector<Tree> chain = MakeChain(7, kVersions, labels);
+  std::vector<std::vector<std::string>> deltas;
+  for (ShareMode mode :
+       {ShareMode::kOff, ShareMode::kReference, ShareMode::kIndexed}) {
+    DiffOptions options;
+    options.share_mode = mode;
+    VersionStore store(chain[0].Clone(), options);
+    std::vector<std::string> texts;
+    for (int v = 1; v <= kVersions; ++v) {
+      ASSERT_TRUE(store.Commit(chain[static_cast<size_t>(v)]).ok());
+      texts.push_back(FormatEditScript(*store.DeltaFor(v), *labels));
+    }
+    deltas.push_back(std::move(texts));
+  }
+  EXPECT_EQ(deltas[0], deltas[2]) << "kOff store vs kIndexed store";
+  EXPECT_EQ(deltas[1], deltas[2]) << "kReference store vs kIndexed store";
 }
 
 }  // namespace

@@ -5,9 +5,12 @@
 # serving verb through treediff_client (ping, diff, open, replicated open,
 # commit, vdiff, status, metrics), then sends SIGTERM and requires a clean
 # exit 0. The status check pins the REPL lines: one for each durable
-# group, none for the in-memory store. Any non-OK response, non-zero exit or missing output fails the
-# script. Because stdin is /dev/null the whole run also proves that EOF on
-# stdin does not stop the server.
+# group, none for the in-memory store. A second server then starts on the
+# same store directory: reopening the durable stores must recover them
+# (old versions diff, commits continue, a different base is refused). Any
+# non-OK response, non-zero exit or missing output fails the script.
+# Because stdin is /dev/null the whole run also proves that EOF on stdin
+# does not stop the server.
 #
 # Usage: tools/serve_smoke.sh [BUILD_DIR]   (default: build)
 
@@ -33,19 +36,34 @@ fail() {
   exit 1
 }
 
-"$serve" --port 0 --metrics-port 0 --store-dir "$work" \
-  </dev/null 2>"$work/serve.err" &
-server_pid=$!
+# start_server: launches treediff_serve on $work and sets $port.
+start_server() {
+  : >"$work/serve.err"
+  "$serve" --port 0 --metrics-port 0 --store-dir "$work" \
+    </dev/null 2>"$work/serve.err" &
+  server_pid=$!
+  port=""
+  for _ in $(seq 1 100); do
+    port="$(sed -n 's/.*listening on [^:]*:\([0-9]*\) .*/\1/p' \
+      "$work/serve.err")"
+    [[ -n "$port" ]] && break
+    kill -0 "$server_pid" 2>/dev/null || fail "server exited before listening"
+    sleep 0.1
+  done
+  [[ -n "$port" ]] || fail "server did not report its port"
+}
 
-port=""
-for _ in $(seq 1 100); do
-  port="$(sed -n 's/.*listening on [^:]*:\([0-9]*\) .*/\1/p' \
-    "$work/serve.err")"
-  [[ -n "$port" ]] && break
-  kill -0 "$server_pid" 2>/dev/null || fail "server exited before listening"
-  sleep 0.1
-done
-[[ -n "$port" ]] || fail "server did not report its port"
+# stop_server: SIGTERM, then requires a clean exit 0.
+stop_server() {
+  kill -0 "$server_pid" 2>/dev/null || fail "server stopped early"
+  kill -TERM "$server_pid"
+  local status=0
+  wait "$server_pid" || status=$?
+  server_pid=""
+  [[ "$status" -eq 0 ]] || fail "server exit status $status after SIGTERM"
+}
+
+start_server
 
 # expect NAME REGEX ARGS...: runs the client with ARGS; requires exit 0
 # and an output line matching REGEX.
@@ -89,10 +107,19 @@ if "$client" --port "$port" open --replicas 1 ../x sexpr "$old" \
   fail "unsafe doc id accepted"
 fi
 
-kill -0 "$server_pid" 2>/dev/null || fail "server stopped early"
-kill -TERM "$server_pid"
-status=0
-wait "$server_pid" || status=$?
-server_pid=""
-[[ "$status" -eq 0 ]] || fail "server exit status $status after SIGTERM"
-echo "serve_smoke: OK (port $port)"
+stop_server
+first_port="$port"
+
+# Restart on the same store directory: the durable stores come back.
+start_server
+expect reopen-replicated '^OK version=1$' open --replicas 2 rdoc sexpr "$old"
+expect reopen-vdiff '^ops=[1-9]' vdiff rdoc 0 1
+expect recommit-replicated '^OK version=2$' commit rdoc sexpr "$old"
+if "$client" --port "$port" open --replicas 1 sdoc sexpr "$new" \
+  2>/dev/null; then
+  fail "reopen with a different base accepted"
+fi
+expect reopen-solo '^OK version=0$' open --replicas 1 sdoc sexpr "$old"
+expect status-reopened '^store=rdoc versions=3 ' status
+stop_server
+echo "serve_smoke: OK (ports $first_port, $port)"
