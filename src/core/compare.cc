@@ -35,9 +35,11 @@ const WordLcsComparator::TokenEntry& WordLcsComparator::Tokens(
         std::move(word), static_cast<int32_t>(word_ids_.size()));
     entry.ids.push_back(w->second);
   }
+  entry.positions.reserve(entry.ids.size());
   for (size_t i = 0; i < entry.ids.size(); ++i) {
-    entry.positions[entry.ids[i]].push_back(static_cast<int32_t>(i));
+    entry.positions.emplace_back(entry.ids[i], static_cast<int32_t>(i));
   }
+  std::sort(entry.positions.begin(), entry.positions.end());
   return token_cache_.emplace(value_hash, std::move(entry)).first->second;
 }
 
@@ -46,23 +48,31 @@ namespace {
 /// Hunt–Szymanski LCS length: for each token of `a` in order, take its
 /// positions in `b` in descending order; the LCS is the longest strictly
 /// increasing subsequence of that stream, found by patience sorting. Exact
-/// for any inputs, and O(|a| + r log r) where r is the number of matching
-/// position pairs — near zero for the unrelated sentences that dominate
-/// matching probes (exactly where Myers' O((|a| + |b|) * D) is quadratic).
+/// for any inputs, and O(|a| log |b| + r log r) where r is the number of
+/// matching position pairs — near zero for the unrelated sentences that
+/// dominate matching probes (exactly where Myers' O((|a| + |b|) * D) is
+/// quadratic).
 size_t LcsLengthByPositions(
     const std::vector<int32_t>& a,
-    const std::unordered_map<int32_t, std::vector<int32_t>>& b_positions) {
+    const std::vector<std::pair<int32_t, int32_t>>& b_positions) {
   std::vector<int32_t> tails;
   for (int32_t token : a) {
-    const auto it = b_positions.find(token);
-    if (it == b_positions.end()) continue;
-    const std::vector<int32_t>& pos = it->second;
-    for (auto p = pos.rbegin(); p != pos.rend(); ++p) {
-      const auto slot = std::lower_bound(tails.begin(), tails.end(), *p);
+    // b's positions of `token`: a contiguous run, ascending.
+    const auto first = std::lower_bound(
+        b_positions.begin(), b_positions.end(), token,
+        [](const std::pair<int32_t, int32_t>& e, int32_t id) {
+          return e.first < id;
+        });
+    auto p = first;
+    while (p != b_positions.end() && p->first == token) ++p;
+    while (p != first) {
+      --p;
+      const auto slot =
+          std::lower_bound(tails.begin(), tails.end(), p->second);
       if (slot == tails.end()) {
-        tails.push_back(*p);
+        tails.push_back(p->second);
       } else {
-        *slot = *p;
+        *slot = p->second;
       }
     }
   }

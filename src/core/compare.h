@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "tree/tree.h"
@@ -74,9 +75,10 @@ class ExactComparator : public ValueComparator {
 ///  * tokenization memo — values tokenize once per distinct *content* (the
 ///    seed tokenized once per (tree, node), so identical sentences at
 ///    different nodes tokenized repeatedly). Words are interned to dense
-///    int32 ids and each entry keeps a token -> positions map, so the LCS
-///    length is computed by Hunt–Szymanski (LIS over match positions) in
-///    O(|a| + r log r), where r is the number of matching position pairs.
+///    int32 ids and each entry keeps its tokens' positions sorted by id, so
+///    the LCS length is computed by Hunt–Szymanski (LIS over match
+///    positions) in O(|a| log |b| + r log r), where r is the number of
+///    matching position pairs.
 ///    Matching probes mostly compare unrelated sentences, for which r is
 ///    near zero — where Myers' O((|a| + |b|) * D) is at its quadratic
 ///    worst — and the LCS length (hence the distance) is exact either way;
@@ -110,11 +112,13 @@ class WordLcsComparator : public ValueComparator {
                      NodeId y) const override;
 
  private:
-  /// One memoized tokenization: the word-id sequence plus the ascending
-  /// positions of each distinct id, for the Hunt–Szymanski LCS.
+  /// One memoized tokenization: the word-id sequence plus every (id,
+  /// position) pair sorted by id, then position — each distinct id's
+  /// ascending positions, contiguous, for the Hunt–Szymanski LCS. One flat
+  /// array, so tokenizing a value allocates per entry, not per word.
   struct TokenEntry {
     std::vector<int32_t> ids;
-    std::unordered_map<int32_t, std::vector<int32_t>> positions;
+    std::vector<std::pair<int32_t, int32_t>> positions;
   };
 
   /// Tokenizes v(x) (memoized by `value_hash`) into interned word ids.

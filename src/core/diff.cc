@@ -54,8 +54,10 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   if (options.reuse_matching != nullptr) {
     // Chain reuse (service layer): the caller vouches that this matching was
     // produced by a prior DiffTrees over byte-identical trees, so phase 1 is
-    // skipped outright and generation proceeds from the cached matching.
+    // skipped outright and generation proceeds from the cached matching and
+    // the settled list that run filtered against it.
     matching = *options.reuse_matching;
+    if (options.reuse_settled != nullptr) settled = *options.reuse_settled;
     report.matching_reused = true;
   } else {
     // The share-map pre-pass settles byte-identical subtrees wholesale
@@ -111,10 +113,11 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   // forwards the settled list: kReference deliberately generates over the
   // full trees, so the byte-identity discipline (reference vs indexed)
   // exercises the generator's interior-skipping as well as the share-map.
-  if (options.share_mode == ShareMode::kIndexed) {
-    FilterIntactSettled(t1, t2, *matching, &settled);
-  } else {
+  // A reused list was filtered by the run that produced it.
+  if (options.share_mode != ShareMode::kIndexed) {
     settled.clear();
+  } else if (!report.matching_reused) {
+    FilterIntactSettled(t1, t2, *matching, &settled);
   }
   stats.match_seconds = timer.ElapsedSeconds();
   stats.compare_calls = ctx.evaluator().compare_calls();
@@ -136,6 +139,7 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
     // belongs to the discarded matching, so it must not be forwarded.
     rung = DiffRung::kTopLevelReplace;
     matching = RootOnlyMatching(t1, t2);
+    settled.clear();
     gen = GenerateEditScript(t1, t2, *matching, &ctx.comparator(),
                              /*use_lcs_alignment=*/true, options.cost_model,
                              /*budget=*/nullptr);
@@ -168,8 +172,8 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
     report.comparisons = stats.compare_calls + stats.partner_checks;
     report.elapsed_seconds = stats.match_seconds + stats.script_seconds;
   }
-  // Report this run's cache traffic only: the comparator may be shared
-  // across DiffTrees calls (the service reuses one per worker), so the
+  // Report this run's cache traffic only: a caller-supplied comparator
+  // (DiffOptions::comparator) may be shared across DiffTrees calls, so the
   // cumulative totals are diffed against the snapshot the context took at
   // construction.
   const ValueComparator::CacheStats cache = ctx.comparator().cache_stats();
@@ -178,7 +182,7 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   report.tokenize_cache_misses = cache.tokenize_misses - base.tokenize_misses;
 
   DiffResult result{std::move(*matching), std::move(gen->script), stats,
-                    std::move(report)};
+                    std::move(report), std::move(settled)};
   return result;
 }
 

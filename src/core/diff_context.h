@@ -2,6 +2,8 @@
 #define TREEDIFF_CORE_DIFF_CONTEXT_H_
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/compare.h"
 #include "core/cost_model.h"
@@ -139,7 +141,15 @@ struct DiffOptions {
   /// prior run's matching when the same (fingerprint1, fingerprint2) pair
   /// is served again, making the re-diff byte-identical by construction.
   /// Must outlive the call. Ignored when null.
+  ///
+  /// The settled list travels with the matching: `reuse_settled` carries
+  /// the prior run's DiffResult::settled, so generation skips the settled
+  /// interiors on a reuse exactly as the run that produced the matching
+  /// did. It is used as given (the prior run already filtered it against
+  /// this matching) and only alongside `reuse_matching`; null means no
+  /// region is skipped, which yields the same script, only slower.
   const Matching* reuse_matching = nullptr;
+  const std::vector<std::pair<NodeId, NodeId>>* reuse_settled = nullptr;
 };
 
 /// Everything one DiffTrees invocation shares across its stages: the two

@@ -1,6 +1,7 @@
 #include "core/edit_script_gen.h"
 
 #include <cassert>
+#include <optional>
 #include <vector>
 
 #include "lcs/lcs.h"
@@ -15,8 +16,9 @@ namespace {
 /// the alignment bookkeeping of Figure 9. `work_index_` rides along on the
 /// working tree: its eagerly-patched scalar tier serves the O(1) ChildIndex
 /// lookups behind FindPos and the O(1) subtree leaf counts behind the
-/// weighted edit distance, and its (lazily rebuilt) order tier supplies the
-/// delete-phase postorder snapshot.
+/// weighted edit distance. When T1 carries an attached index the scalar
+/// tier is copied from it rather than recomputed; the order and fingerprint
+/// tiers are never read during generation and stay unbuilt.
 class ScriptGenerator {
  public:
   ScriptGenerator(const Tree& t1, const Tree& t2, const Matching& matching,
@@ -25,7 +27,6 @@ class ScriptGenerator {
                   const std::vector<std::pair<NodeId, NodeId>>* settled)
       : t2_(t2),
         work_(t1.Clone()),
-        work_index_(work_),
         cmp_(cmp),
         costs_(costs),
         budget_(budget),
@@ -34,25 +35,38 @@ class ScriptGenerator {
         p2_(t2.id_bound(), kInvalidNode),
         in_order1_(t1.id_bound(), 0),
         in_order2_(t2.id_bound(), 0) {
-    for (const auto& [x, y] : matching.Pairs()) {
+    if (const TreeIndex* i1 = t1.attached_index()) {
+      work_index_.emplace(work_, *i1);
+    } else {
+      work_index_.emplace(work_);
+    }
+    for (NodeId x = 0; x < static_cast<NodeId>(t1.id_bound()); ++x) {
+      const NodeId y = matching.PartnerOfT1(x);
+      if (y == kInvalidNode) continue;
       p1_[static_cast<size_t>(x)] = y;
       p2_[static_cast<size_t>(y)] = x;
     }
-    // Interiors of settled regions are op-free for the BFS scan (see the
-    // header contract); mark the strict descendants of every settled T2
-    // root for skipping. Disabled under weighted alignment — a zero-move-
-    // cost model can emit zero-cost moves even inside identical regions.
+    // Settled regions are op-free for the BFS scan below their roots (see
+    // the header contract): mark every settled T2 root, whose children need
+    // no alignment, and its strict descendants, which are skipped outright;
+    // mark the T1 roots for the delete phase. Disabled under weighted
+    // alignment — a zero-move-cost model can emit zero-cost moves even
+    // inside identical regions.
     if (settled != nullptr && !settled->empty() &&
         !(lcs_align && costs != nullptr)) {
-      skip2_.assign(static_cast<size_t>(t2.id_bound()), 0);
+      skip2_.assign(static_cast<size_t>(t2.id_bound()), kScan);
+      settled1_.assign(t1.id_bound(), 0);
       std::vector<NodeId> stack;
       for (const auto& [a, b] : *settled) {
         if (p2_[static_cast<size_t>(b)] != a) continue;  // Defensive.
+        settled1_[static_cast<size_t>(a)] = 1;
+        char& root_mark = skip2_[static_cast<size_t>(b)];
+        if (root_mark == kScan) root_mark = kSettledRoot;
         for (NodeId c : t2.children(b)) stack.push_back(c);
         while (!stack.empty()) {
           const NodeId d = stack.back();
           stack.pop_back();
-          skip2_[static_cast<size_t>(d)] = 1;
+          skip2_[static_cast<size_t>(d)] = kSettledInterior;
           for (NodeId c : t2.children(d)) stack.push_back(c);
         }
       }
@@ -66,12 +80,14 @@ class ScriptGenerator {
     // comes from T2's index when the pipeline attached one (the DiffContext
     // case); standalone callers fall back to a fresh traversal.
     const TreeIndex* i2 = t2_.attached_index();
-    const std::vector<NodeId> bfs =
-        i2 != nullptr ? i2->BfsOrder() : t2_.BfsOrder();
+    std::vector<NodeId> own_bfs;
+    if (i2 == nullptr) own_bfs = t2_.BfsOrder();
+    const std::vector<NodeId>& bfs = i2 != nullptr ? i2->BfsOrder() : own_bfs;
     for (NodeId x : bfs) {
       // A settled interior charges nothing and emits nothing: the prune is
       // where generation cost drops from O(document) to O(changed).
-      if (!skip2_.empty() && skip2_[static_cast<size_t>(x)]) continue;
+      const char mark = skip2_.empty() ? kScan : skip2_[static_cast<size_t>(x)];
+      if (mark == kSettledInterior) continue;
       if (!BudgetChargeNodes(budget_)) return BudgetStatus(budget_);
       NodeId w;
       if (x == t2_.root()) {
@@ -91,15 +107,25 @@ class ScriptGenerator {
           }
         }
       }
-      AlignChildren(w, x);
+      // A settled root may move as a unit, but its children are the
+      // settled interior: all matched to x's children, in the same order,
+      // so alignment would keep every one of them in place.
+      if (mark != kSettledRoot) AlignChildren(w, x);
     }
 
     // Phase 2 (step 3): post-order delete of unmatched nodes. Snapshot the
-    // order first (the deletes dirty it); children precede parents, so every
-    // delete is a leaf delete by the time it runs (Theorem C.2, second
-    // stage).
-    const std::vector<NodeId> order = work_index_.PostOrder();
+    // order first in one walk of the working tree (the deletes change it);
+    // children precede parents, so every delete is a leaf delete by the
+    // time it runs (Theorem C.2, second stage).
+    const std::vector<NodeId> order = DeletePhaseOrder();
     for (NodeId w : order) {
+      if (budget_ != nullptr && IsSettledRoot1(w)) {
+        // The interior the walk left out: charged one node at a time, just
+        // as if it had been visited.
+        for (int i = 1; i < work_index_->SubtreeSize(w); ++i) {
+          if (!BudgetChargeNodes(budget_)) return BudgetStatus(budget_);
+        }
+      }
       if (!BudgetChargeNodes(budget_)) return BudgetStatus(budget_);
       if (p1_[static_cast<size_t>(w)] != kInvalidNode) continue;
       EditOp op = EditOp::Delete(w);
@@ -130,6 +156,33 @@ class ScriptGenerator {
 
  private:
   NodeId Partner2(NodeId y) const { return p2_[static_cast<size_t>(y)]; }
+
+  bool IsSettledRoot1(NodeId w) const {
+    return static_cast<size_t>(w) < settled1_.size() &&
+           settled1_[static_cast<size_t>(w)];
+  }
+
+  /// Post-order of the working tree that lists settled T1 roots but not
+  /// their interiors. A settled region leaves the scan intact — nothing is
+  /// inserted, moved or aligned inside it — so its interior holds only
+  /// matched nodes and no deletes.
+  std::vector<NodeId> DeletePhaseOrder() const {
+    std::vector<NodeId> order;
+    order.reserve(work_.size());
+    std::vector<std::pair<NodeId, size_t>> stack = {{work_.root(), 0}};
+    while (!stack.empty()) {
+      auto& [x, cursor] = stack.back();
+      const auto& kids = work_.children(x);
+      if (cursor < kids.size() && !IsSettledRoot1(x)) {
+        const NodeId next = kids[cursor++];
+        stack.push_back({next, 0});
+      } else {
+        order.push_back(x);
+        stack.pop_back();
+      }
+    }
+    return order;
+  }
   NodeId Partner1(NodeId w) const { return p1_[static_cast<size_t>(w)]; }
 
   void AddMatch(NodeId w, NodeId x) {
@@ -174,7 +227,7 @@ class ScriptGenerator {
     EditOp op = EditOp::Move(w, z, k);
     if (costs_ != nullptr) op.cost = costs_->MoveCost(work_, w);
     script_.Append(std::move(op));
-    weighted_ += static_cast<size_t>(work_index_.LeafCount(w));
+    weighted_ += static_cast<size_t>(work_index_->LeafCount(w));
     ++inter_moves_;
     TREEDIFF_CHECK_OK(work_.MoveSubtree(w, z, k));
     MarkInOrder(w, x);
@@ -297,7 +350,7 @@ class ScriptGenerator {
       EditOp op = EditOp::Move(a, w, k);
       if (costs_ != nullptr) op.cost = costs_->MoveCost(work_, a);
       script_.Append(std::move(op));
-      weighted_ += static_cast<size_t>(work_index_.LeafCount(a));
+      weighted_ += static_cast<size_t>(work_index_->LeafCount(a));
       ++intra_moves_;
       TREEDIFF_CHECK_OK(work_.MoveSubtree(a, w, k));
       MarkInOrder(a, b);
@@ -343,11 +396,17 @@ class ScriptGenerator {
     }
   }
 
+  // skip2_ marks: scanned as usual, a settled region root (visited, not
+  // aligned), or a settled interior node (not visited).
+  static constexpr char kScan = 0;
+  static constexpr char kSettledRoot = 1;
+  static constexpr char kSettledInterior = 2;
+
   const Tree& t2_;
   Tree work_;
-  // Declared after work_ (it attaches to it in the constructor); detaches
-  // automatically when TakeResult moves work_ out.
-  TreeIndex work_index_;
+  // Attached to work_ in the constructor; detaches automatically when
+  // TakeResult moves work_ out.
+  std::optional<TreeIndex> work_index_;
   const ValueComparator* cmp_;
   const CostModel* costs_;
   const Budget* budget_;
@@ -357,6 +416,7 @@ class ScriptGenerator {
   std::vector<char> in_order1_;
   std::vector<char> in_order2_;
   std::vector<char> skip2_;
+  std::vector<char> settled1_;  // Settled T1 roots, by T1 id.
   EditScript script_;
   size_t weighted_ = 0;
   size_t intra_moves_ = 0;

@@ -70,15 +70,17 @@ struct EditScriptResult {
 /// Section 3.2 model (see CostModel); null means unit costs.
 ///
 /// `budget`, if non-null, is charged one node per T2 node scanned and per
-/// working-tree node visited in the delete phase; on exhaustion generation
+/// working-tree node in the delete phase (settled interiors included,
+/// though that phase's walk skips them); on exhaustion generation
 /// stops and the budget's kResourceExhausted/kDeadlineExceeded status is
 /// returned (the partially built script is discarded — a partial edit script
 /// does not conform to the matching and must never be applied).
 ///
 /// When `t2` carries an attached TreeIndex (the DiffContext pipeline), its
-/// BFS order is consumed instead of re-traversing; the mutating working copy
-/// of `t1` always gets its own index, which serves O(1) child positions and
-/// subtree leaf counts throughout generation.
+/// BFS order is consumed instead of re-traversing. The mutating working copy
+/// of `t1` gets its own index, which serves O(1) child positions and subtree
+/// leaf counts throughout generation; when `t1` carries an attached index,
+/// that index's scalar tier is copied instead of recomputed.
 ///
 /// `settled_subtrees`, if non-null, lists (t1, t2) root pairs of regions the
 /// share-map pre-pass matched wholesale and that survived the repair passes
@@ -87,11 +89,13 @@ struct EditScriptResult {
 /// skips the *interiors* of those regions — for such nodes the update, move,
 /// and align phases are provably no-ops, so the skip cannot change the
 /// script. The region roots are still visited (they may move as a unit and
-/// participate in their parent's alignment). Under the weighted-alignment
-/// strategy (use_lcs_alignment with a cost_model) skipping is disabled: a
-/// degenerate cost model with zero move costs makes the
-/// heaviest-subsequence alignment emit zero-cost moves even inside
-/// identical regions, and byte-identity outranks the speedup there.
+/// participate in their parent's alignment), but their own children are
+/// not aligned: they are the interior, already matched in order. The delete
+/// phase does not walk the interiors either: they hold no unmatched node.
+/// Under the weighted-alignment strategy (use_lcs_alignment with a
+/// cost_model) skipping is disabled: a degenerate cost model with zero move
+/// costs makes the heaviest-subsequence alignment emit zero-cost moves even
+/// inside identical regions, and byte-identity outranks the speedup there.
 StatusOr<EditScriptResult> GenerateEditScript(
     const Tree& t1, const Tree& t2, const Matching& matching,
     const ValueComparator* update_cost_comparator = nullptr,

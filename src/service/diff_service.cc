@@ -488,6 +488,7 @@ DiffResponse DiffService::Process(const DiffRequest& request,
     reused = LookupMatching(old_cached.key, new_cached.key, diff.start_rung);
     if (reused != nullptr) {
       diff.reuse_matching = &reused->matching;
+      diff.reuse_settled = &reused->settled;
       response.matching_cache_hit = true;
       match_cache_hits_->Increment();
     } else {
@@ -505,7 +506,8 @@ DiffResponse DiffService::Process(const DiffRequest& request,
   if (cacheable && reused == nullptr && !result->report.degraded) {
     StoreMatching(old_cached.key, new_cached.key, diff.start_rung,
                   std::make_shared<MatchingCacheEntry>(
-                      *old_entry, *new_entry, result->matching));
+                      *old_entry, *new_entry, std::move(result->matching),
+                      std::move(result->settled)));
   }
   response.pruned_subtrees = result->report.prune_settled_subtrees;
   response.pruned_nodes = result->report.prune_settled_nodes;

@@ -10,6 +10,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/diff.h"
@@ -310,17 +311,21 @@ class DiffService {
   DiffResponse Process(const DiffRequest& request, Clock::time_point submitted,
                        bool shed_degraded);
 
-  /// One cached phase-1 matching. The entry pins both tree-cache entries:
-  /// the matching's node ids are only meaningful against exactly those
-  /// trees, and pinning them keeps the ids valid for the entry's lifetime.
+  /// One cached phase-1 matching and the settled list generation used with
+  /// it (DiffResult::settled), so a hit skips the settled interiors too.
+  /// The entry pins both tree-cache entries: the node ids are only
+  /// meaningful against exactly those trees, and pinning them keeps the ids
+  /// valid for the entry's lifetime.
   struct MatchingCacheEntry {
     std::shared_ptr<const CachedTree> old_tree;
     std::shared_ptr<const CachedTree> new_tree;
     Matching matching;
+    std::vector<std::pair<NodeId, NodeId>> settled;
     MatchingCacheEntry(std::shared_ptr<const CachedTree> o,
-                       std::shared_ptr<const CachedTree> n, Matching m)
+                       std::shared_ptr<const CachedTree> n, Matching m,
+                       std::vector<std::pair<NodeId, NodeId>> s)
         : old_tree(std::move(o)), new_tree(std::move(n)),
-          matching(std::move(m)) {}
+          matching(std::move(m)), settled(std::move(s)) {}
   };
 
   /// The cached matching for (old fingerprint, new fingerprint, rung), or

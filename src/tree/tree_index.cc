@@ -44,6 +44,20 @@ TreeIndex::TreeIndex(const Tree& tree) : tree_(&tree) {
   EnsureOrders();
 }
 
+TreeIndex::TreeIndex(const Tree& tree, const TreeIndex& source)
+    : tree_(&tree) {
+  assert(source.attached() && source.tree().id_bound() == tree.id_bound() &&
+         source.tree().root() == tree.root());
+  tree.AttachIndex(this);
+  source.EnsureScalars();
+  depth_ = source.depth_;
+  subtree_size_ = source.subtree_size_;
+  leaf_count_ = source.leaf_count_;
+  child_index_ = source.child_index_;
+  value_hash_ = source.value_hash_;
+  scalars_dirty_ = false;
+}
+
 TreeIndex::~TreeIndex() {
   if (tree_ != nullptr) tree_->DetachIndex(this);
 }

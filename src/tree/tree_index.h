@@ -54,6 +54,15 @@ class TreeIndex {
  public:
   /// Builds the index over the live nodes of `tree` and attaches to it.
   explicit TreeIndex(const Tree& tree);
+
+  /// Attaches to `tree`, which must be a Clone() of `source`'s tree (same
+  /// node ids, dead slots and shape), and copies `source`'s scalar tier
+  /// instead of recomputing it; the order and fingerprint tiers start
+  /// dirty and rebuild lazily on first access. Edit-script generation
+  /// indexes its working copy of T1 this way, reusing T1's warmed index.
+  /// A dirty source tier is rebuilt first, so a source shared across
+  /// threads must be warmed (WarmAll) beforehand.
+  TreeIndex(const Tree& tree, const TreeIndex& source);
   ~TreeIndex();
 
   TreeIndex(const TreeIndex&) = delete;

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "tree/builder.h"
+#include "util/random.h"
 
 namespace treediff {
 namespace {
@@ -91,6 +95,39 @@ TEST_F(CompareTest, RangeIsAlwaysZeroToTwo) {
       EXPECT_GE(d, 0.0) << a << " vs " << b;
       EXPECT_LE(d, 2.0) << a << " vs " << b;
     }
+  }
+}
+
+TEST(WordLcsComparatorTest, AgreesWithTheReferenceLcsOnRepeatedWords) {
+  // The comparator computes the LCS by Hunt–Szymanski over each value's
+  // sorted (word id, position) list; WordLcsDistance runs a plain LCS over
+  // the word strings. A five-word vocabulary makes repeated words the
+  // common case, where the position lists are longest.
+  const char* words[] = {"a", "b", "c", "d", "e"};
+  Rng rng(7);
+  auto sentence = [&] {
+    std::string s;
+    const uint64_t n = rng.Uniform(12);
+    for (uint64_t i = 0; i < n; ++i) {
+      if (i > 0) s += ' ';
+      s += words[rng.Uniform(5)];
+    }
+    return s;
+  };
+  auto labels = std::make_shared<LabelTable>();
+  Tree t1(labels), t2(labels);
+  const NodeId r1 = t1.AddRoot("D");
+  const NodeId r2 = t2.AddRoot("D");
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (int i = 0; i < 300; ++i) {
+    pairs.push_back({t1.AddChild(r1, "S", sentence()),
+                     t2.AddChild(r2, "S", sentence())});
+  }
+  WordLcsComparator cmp;
+  for (const auto& [x, y] : pairs) {
+    EXPECT_EQ(cmp.Compare(t1, x, t2, y),
+              WordLcsDistance(t1.value(x), t2.value(y)))
+        << "\"" << t1.value(x) << "\" vs \"" << t2.value(y) << "\"";
   }
 }
 

@@ -6,9 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/edit_script_gen.h"
+#include "core/share_map.h"
 #include "tree/builder.h"
+#include "tree/tree_index.h"
+#include "util/budget.h"
 
 namespace treediff {
 namespace {
@@ -148,6 +155,121 @@ TEST(EditScriptGenMoreTest, WorkingTreeIdsSurviveInterleavedOps) {
     }
   }
   EXPECT_TRUE(Tree::Isomorphic(result->transformed, t2));
+}
+
+/// First node labeled `name` in pre-order.
+NodeId FirstLabeled(const Tree& t, const std::string& name) {
+  for (NodeId x : t.PreOrder()) {
+    if (t.label_name(x) == name) return x;
+  }
+  return kInvalidNode;
+}
+
+/// Generates with and without a settled list naming the (t1, t2) subtrees
+/// labeled `settled_labels`, and requires identical results: a settled
+/// root's children are never aligned, which must not change the script.
+/// Runs once over bare trees and once with indexes attached, so the working
+/// copy is indexed both from scratch and by copying T1's index.
+void ExpectSettledSkipChangesNothing(
+    Fixture& f, const Tree& t1, const Tree& t2,
+    const std::vector<std::string>& settled_labels) {
+  const Matching m = f.MatchByValue(t1, t2);
+  std::vector<std::pair<NodeId, NodeId>> settled;
+  for (const std::string& name : settled_labels) {
+    settled.push_back({FirstLabeled(t1, name), FirstLabeled(t2, name)});
+  }
+  std::vector<std::pair<NodeId, NodeId>> intact = settled;
+  FilterIntactSettled(t1, t2, m, &intact);
+  ASSERT_EQ(intact, settled) << "the test's settled list breaks the contract";
+
+  for (bool indexed : {false, true}) {
+    std::optional<TreeIndex> i1, i2;
+    if (indexed) {
+      i1.emplace(t1);
+      i2.emplace(t2);
+    }
+    auto plain = GenerateEditScript(t1, t2, m);
+    auto pruned = GenerateEditScript(t1, t2, m, nullptr, true, nullptr,
+                                     nullptr, &settled);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+    EXPECT_EQ(pruned->script.ToString(t1.labels()),
+              plain->script.ToString(t1.labels()))
+        << (indexed ? "indexed" : "bare");
+    EXPECT_EQ(pruned->weighted_edit_distance, plain->weighted_edit_distance);
+    EXPECT_EQ(pruned->intra_parent_moves, plain->intra_parent_moves);
+    EXPECT_EQ(pruned->inter_parent_moves, plain->inter_parent_moves);
+    EXPECT_TRUE(Tree::Isomorphic(pruned->transformed, t2));
+    EXPECT_GT(plain->script.num_moves(), 0u);
+
+    // Budget charging: the scan leaves settled interiors uncharged, while
+    // the delete phase charges every working-tree node, settled or not. A
+    // node cap one below the pruned run's total must trip; that total must
+    // fit.
+    size_t interior = 0;
+    for (const auto& [a, b] : settled) {
+      (void)a;
+      std::vector<NodeId> stack(t2.children(b).begin(), t2.children(b).end());
+      while (!stack.empty()) {
+        const NodeId d = stack.back();
+        stack.pop_back();
+        ++interior;
+        for (NodeId c : t2.children(d)) stack.push_back(c);
+      }
+    }
+    Budget plain_budget, pruned_budget;
+    ASSERT_TRUE(GenerateEditScript(t1, t2, m, nullptr, true, nullptr,
+                                   &plain_budget)
+                    .ok());
+    ASSERT_TRUE(GenerateEditScript(t1, t2, m, nullptr, true, nullptr,
+                                   &pruned_budget, &settled)
+                    .ok());
+    const size_t total = pruned_budget.nodes_visited();
+    EXPECT_EQ(total + interior, plain_budget.nodes_visited());
+    Budget tight;
+    tight.set_node_cap(total - 1);
+    auto tripped = GenerateEditScript(t1, t2, m, nullptr, true, nullptr,
+                                      &tight, &settled);
+    ASSERT_FALSE(tripped.ok());
+    EXPECT_EQ(tripped.status().code(), Code::kResourceExhausted);
+    Budget exact;
+    exact.set_node_cap(total);
+    EXPECT_TRUE(GenerateEditScript(t1, t2, m, nullptr, true, nullptr, &exact,
+                                   &settled)
+                    .ok());
+  }
+}
+
+TEST(EditScriptGenMoreTest, SettledRootMovesWithinItsParent) {
+  Fixture f;
+  Tree t1 = f.Parse(
+      "(D (P (S \"a1\") (S \"a2\")) (Q (S \"b1\") (S \"b2\")) "
+      "(R (S \"c1\") (S \"c2\")))");
+  Tree t2 = f.Parse(
+      "(D (R (S \"c1\") (S \"c2\")) (Q (S \"b1\") (S \"b2\")) "
+      "(P (S \"a1\") (S \"a2\")))");
+  ExpectSettledSkipChangesNothing(f, t1, t2, {"P", "Q", "R"});
+}
+
+TEST(EditScriptGenMoreTest, SettledRootUnderAMovedParent) {
+  // A moves under C and changes around B; the settled B moves with A and
+  // is then realigned inside it.
+  Fixture f;
+  Tree t1 = f.Parse(
+      "(D (A (B (S \"a\") (S \"b\")) (S \"x\")) (C (S \"y\")))");
+  Tree t2 = f.Parse(
+      "(D (C (S \"y\") (A (S \"x\") (S \"new\") "
+      "(B (S \"a\") (S \"b\")))))");
+  ExpectSettledSkipChangesNothing(f, t1, t2, {"B"});
+}
+
+TEST(EditScriptGenMoreTest, SettledRootUnderAnInsertedParent) {
+  Fixture f;
+  Tree t1 = f.Parse(
+      "(D (P (S \"a\") (S \"b\")) (Q (S \"c\")) (S \"d\"))");
+  Tree t2 = f.Parse(
+      "(D (S \"d\") (N (Q (S \"c\")) (P (S \"a\") (S \"b\"))))");
+  ExpectSettledSkipChangesNothing(f, t1, t2, {"P", "Q"});
 }
 
 }  // namespace

@@ -206,6 +206,48 @@ TEST(IncrementalServiceTest, ConcurrentIncrementalSubmitsStayConsistent) {
             static_cast<uint64_t>(kThreads * kPerThread / 2 - kThreads));
 }
 
+TEST(IncrementalServiceTest, RepeatedGeneratedDiffsHitWithTheSameScript) {
+  // The hot path of a repeat kDiff: both trees and the matching come from
+  // the caches, and the settled list cached with the matching lets
+  // generation skip the unchanged regions again. Over generated documents
+  // with moved and edited sections every hit must serve the miss's script
+  // byte for byte.
+  DiffServiceOptions options;
+  options.num_threads = 2;
+  options.incremental = true;
+  DiffService service(options);
+  Vocabulary vocab(400, 1.0);
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    DocGenParams params;
+    params.sections = 4;
+    params.duplicate_sentence_probability = 0.2;
+    auto labels = std::make_shared<LabelTable>();
+    const Tree base = GenerateDocument(params, vocab, &rng, labels);
+    EditMix mix;
+    mix.move_paragraph = 0.2;
+    mix.move_sentence = 0.2;
+    mix.move_section = 0.1;
+    const Tree edited =
+        SimulateNewVersion(base, 6, mix, vocab, &rng).new_tree;
+    const DiffRequest request =
+        InlineRequest(base.ToDebugString(), edited.ToDebugString());
+
+    const DiffResponse miss = service.SubmitSync(request);
+    ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
+    EXPECT_FALSE(miss.matching_cache_hit) << "seed " << seed;
+    EXPECT_GT(miss.pruned_subtrees, 0u) << "seed " << seed;
+    const DiffResponse hit = service.SubmitSync(request);
+    ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
+    EXPECT_TRUE(hit.matching_cache_hit) << "seed " << seed;
+    EXPECT_TRUE(hit.cache_hit_old && hit.cache_hit_new) << "seed " << seed;
+    EXPECT_EQ(hit.operations, miss.operations) << "seed " << seed;
+    EXPECT_EQ(hit.script, miss.script) << "seed " << seed;
+  }
+  EXPECT_EQ(service.metrics().counter("diff_match_cache_hits_total")->Value(),
+            8u);
+}
+
 /// A stored-mode chain like the deployed benchmark's: a 64-section document
 /// with 10% duplicate sentences (ambiguous share-map twins), then
 /// `versions` successors at a 1% edit rate. All trees share `labels`.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "tree/builder.h"
 #include "tree/tree.h"
 #include "tree/tree_index.h"
+#include "util/random.h"
 
 namespace treediff {
 namespace {
@@ -221,6 +223,55 @@ TEST_F(IndexConsistencyTest, LongRandomishMutationSequence) {
     ASSERT_TRUE(t_.DeleteLeaf(*ins).ok());
     ExpectMatchesFreshRebuild(t_, index);
   }
+}
+
+TEST_F(IndexConsistencyTest, IndexCopiedOverACloneTracksSeededEdits) {
+  // Edit-script generation indexes its working Clone() by copying the
+  // source index's scalar tier. The copy must equal a fresh build on every
+  // tier at once, and stay equal through any edit sequence. A dead slot in
+  // the source exercises the copied per-id arrays beyond the live nodes.
+  const LabelId s = t_.InternLabel("S");
+  TreeIndex source(t_);
+  ASSERT_TRUE(t_.DeleteLeaf(t_.children(t_.children(t_.root())[2])[0]).ok());
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Tree work = t_.Clone();
+    TreeIndex copied(work, source);
+    ExpectMatchesFreshRebuild(work, copied);
+    Rng rng(seed);
+    for (int step = 0; step < 12; ++step) {
+      const std::vector<NodeId> live = work.PreOrder();
+      const NodeId x = live[rng.Uniform(live.size())];
+      switch (rng.Uniform(4)) {
+        case 0: {  // Insert a leaf under x.
+          const int k =
+              1 + static_cast<int>(rng.Uniform(work.children(x).size() + 1));
+          ASSERT_TRUE(work.InsertLeaf(s, "ins" + std::to_string(step), x, k)
+                          .ok());
+          break;
+        }
+        case 1:  // Delete x if it is a non-root leaf.
+          if (x != work.root() && work.IsLeaf(x)) {
+            ASSERT_TRUE(work.DeleteLeaf(x).ok());
+          }
+          break;
+        case 2:
+          ASSERT_TRUE(work.UpdateValue(x, "upd" + std::to_string(step)).ok());
+          break;
+        default: {  // Move x under a node outside its subtree.
+          const NodeId p = live[rng.Uniform(live.size())];
+          if (x == work.root() || work.IsAncestorOrSelf(x, p)) break;
+          const size_t slots =
+              work.children(p).size() + (work.parent(x) == p ? 0 : 1);
+          const int k = 1 + static_cast<int>(rng.Uniform(slots));
+          ASSERT_TRUE(work.MoveSubtree(x, p, k).ok());
+          break;
+        }
+      }
+      ExpectMatchesFreshRebuild(work, copied);
+    }
+  }
+  // Edits to the clones never reach the source index.
+  ExpectMatchesFreshRebuild(t_, source);
 }
 
 }  // namespace

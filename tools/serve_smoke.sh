@@ -4,11 +4,12 @@
 # Starts treediff_serve on ephemeral ports with stdin at EOF, drives every
 # serving verb through treediff_client (ping, diff, open, replicated open,
 # commit, vdiff, status, metrics), then sends SIGTERM and requires a clean
-# exit 0. The status check pins the REPL lines: one for each durable
-# group, none for the in-memory store. A second server then starts on the
-# same store directory: reopening the durable stores must recover them
-# (old versions diff, commits continue, a different base is refused). Any
-# non-OK response, non-zero exit or missing output fails the script.
+# exit 0. A repeated diff must be a matching-cache hit that serves the
+# first answer's bytes. The status check pins the REPL lines: one for each
+# durable group, none for the in-memory store. A second server then starts
+# on the same store directory: reopening the durable stores must recover
+# them (old versions diff, commits continue, a different base is refused).
+# Any non-OK response, non-zero exit or missing output fails the script.
 # Because stdin is /dev/null the whole run also proves that EOF on stdin
 # does not stop the server.
 #
@@ -88,7 +89,30 @@ old='(D (P (S "alpha beta gamma")))'
 new='(D (P (S "alpha beta delta")) (P (S "epsilon")))'
 
 expect ping '^PONG$' ping
-expect diff '^ops=[1-9]' diff sexpr "$old" "$new"
+# diff_flags FILE: the hex flags of a saved diff answer's first line.
+diff_flags() { sed -n '1s/.* flags=0x\([0-9a-f]*\)$/\1/p' "$1"; }
+ops_of() { sed -n '1s/^\(ops=[0-9]*\) .*/\1/p' "$1"; }
+
+# The same diff twice: the first answer is computed, the second is a
+# matching-cache hit (kRespFlagMatchCache, 0x10) with the first answer's op
+# count and script bytes.
+"$client" --port "$port" diff sexpr "$old" "$new" >"$work/diff.first" ||
+  fail "diff: client exit non-zero"
+grep -q '^ops=[1-9]' "$work/diff.first" ||
+  fail "diff: no /^ops=[1-9]/ in: $(cat "$work/diff.first")"
+flags="$(diff_flags "$work/diff.first")"
+[[ -n "$flags" ]] && ! ((0x$flags & 0x10)) ||
+  fail "diff: first answer flags 0x$flags (want no match-cache bit)"
+"$client" --port "$port" diff sexpr "$old" "$new" >"$work/diff.hit" ||
+  fail "diff-hit: client exit non-zero"
+flags="$(diff_flags "$work/diff.hit")"
+[[ -n "$flags" ]] && ((0x$flags & 0x10)) ||
+  fail "diff-hit: flags 0x$flags lack the match-cache bit"
+[[ "$(ops_of "$work/diff.hit")" == "$(ops_of "$work/diff.first")" ]] ||
+  fail "diff-hit: op count differs from the first answer"
+cmp -s <(tail -n +2 "$work/diff.first") <(tail -n +2 "$work/diff.hit") ||
+  fail "diff-hit: script bytes differ from the first answer"
+
 expect open '^OK version=0$' open doc sexpr "$old"
 expect commit '^OK version=1$' commit doc sexpr "$new"
 expect vdiff '^ops=[1-9]' vdiff doc 0 1
