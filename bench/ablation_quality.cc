@@ -44,13 +44,13 @@ int main() {
         std::fprintf(stderr, "diff failed\n");
         return 1;
       }
-      gain.Add(without->stats.script_cost - with->stats.script_cost);
+      gain.Add(without->script.TotalCost() - with->script.TotalCost());
       table.AddRow({TablePrinter::Fmt(static_cast<size_t>(trial)),
-                    TablePrinter::Fmt(without->stats.script_cost, 1),
-                    TablePrinter::Fmt(with->stats.script_cost, 1),
-                    TablePrinter::Fmt(with->stats.post_process_rematched),
-                    TablePrinter::Fmt(without->stats.moves),
-                    TablePrinter::Fmt(with->stats.moves)});
+                    TablePrinter::Fmt(without->script.TotalCost(), 1),
+                    TablePrinter::Fmt(with->script.TotalCost(), 1),
+                    TablePrinter::Fmt(with->report.post_process_rematched),
+                    TablePrinter::Fmt(without->script.num_moves()),
+                    TablePrinter::Fmt(with->script.num_moves())});
     }
     table.Print();
     std::printf(
@@ -74,9 +74,9 @@ int main() {
         return 1;
       }
       table.AddRow({k == 0 ? "inf" : TablePrinter::Fmt(static_cast<size_t>(k)),
-                    TablePrinter::Fmt(diff->stats.compare_calls),
-                    TablePrinter::Fmt(diff->stats.script_cost, 1),
-                    TablePrinter::Fmt(diff->stats.unweighted_edit_distance)});
+                    TablePrinter::Fmt(diff->report.compare_calls),
+                    TablePrinter::Fmt(diff->script.TotalCost(), 1),
+                    TablePrinter::Fmt(diff->script.size())});
     }
     table.Print();
     std::printf(

@@ -47,9 +47,9 @@ int main() {
         return 1;
       }
       const double d =
-          static_cast<double>(diff->stats.unweighted_edit_distance);
+          static_cast<double>(diff->script.size());
       const double e =
-          static_cast<double>(diff->stats.weighted_edit_distance);
+          static_cast<double>(diff->report.weighted_edit_distance);
       if (d > 0) {
         ratio_set.Add(e / d);
         ratio_all.Add(e / d);

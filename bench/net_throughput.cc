@@ -88,10 +88,14 @@ int main(int argc, char** argv) {
   };
 
   // ---- Byte-identity gate -------------------------------------------------
-  // Two fresh services with identical label interning; every response that
-  // crosses the wire must match the direct Submit path byte for byte.
+  // Two fresh services with identical label interning, both incremental as
+  // tools/treediff_serve deploys them; every response that crosses the wire
+  // must match the direct Submit path byte for byte. Each pair is sent
+  // twice, so the second round is a matching-cache hit on both sides and
+  // the reused-matching path crosses the wire too.
   {
     DiffServiceOptions so;
+    so.incremental = true;
     DiffService reference(so);
     DiffService served(so);
     NetServer server(&served, server_options());
@@ -104,26 +108,38 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "net_throughput: connect failed\n");
       return 1;
     }
-    for (const Pair& p : pairs) {
-      DiffRequest direct;
-      direct.old_doc = p.old_doc;
-      direct.new_doc = p.new_doc;
-      const DiffResponse expected = reference.SubmitSync(std::move(direct));
-      WireResponse got;
-      if (!client.Diff(p.old_doc, p.new_doc, kFormatSexpr, &got).ok() ||
-          !got.ok() || got.payload != expected.script ||
-          got.value != static_cast<uint32_t>(expected.operations)) {
-        std::fprintf(stderr,
-                     "net_throughput: BYTE-IDENTITY FAILURE — wire response "
-                     "differs from direct SubmitSync\n");
-        return 1;
+    for (int round = 0; round < 2; ++round) {
+      for (const Pair& p : pairs) {
+        DiffRequest direct;
+        direct.old_doc = p.old_doc;
+        direct.new_doc = p.new_doc;
+        const DiffResponse expected = reference.SubmitSync(std::move(direct));
+        WireResponse got;
+        if (!client.Diff(p.old_doc, p.new_doc, kFormatSexpr, &got).ok() ||
+            !got.ok() || got.payload != expected.script ||
+            got.value != static_cast<uint32_t>(expected.operations)) {
+          std::fprintf(stderr,
+                       "net_throughput: BYTE-IDENTITY FAILURE — wire response "
+                       "differs from direct SubmitSync\n");
+          return 1;
+        }
+        const bool wire_hit = (got.flags & kRespFlagMatchCache) != 0;
+        if (wire_hit != (round == 1) ||
+            expected.matching_cache_hit != wire_hit) {
+          std::fprintf(stderr,
+                       "net_throughput: round %d expected %s matching-cache "
+                       "hit on both paths\n",
+                       round, round == 1 ? "a" : "no");
+          return 1;
+        }
       }
     }
     server.Shutdown();
     if (!json) {
       std::printf("byte-identity: %d/%d wire responses identical to direct "
-                  "SubmitSync\n",
-                  kPairs, kPairs);
+                  "SubmitSync (each pair sent twice: fresh, then "
+                  "matching-cache hit)\n",
+                  2 * kPairs, 2 * kPairs);
     }
   }
 

@@ -54,11 +54,11 @@ int main() {
                      diff.status().ToString().c_str());
         return 1;
       }
-      sum_cmp += static_cast<double>(diff->stats.compare_calls +
-                                     diff->stats.partner_checks);
-      sum_e += static_cast<double>(diff->stats.weighted_edit_distance);
-      sum_match += diff->stats.match_seconds;
-      sum_script += diff->stats.script_seconds;
+      sum_cmp += static_cast<double>(diff->report.compare_calls +
+                                     diff->report.partner_checks);
+      sum_e += static_cast<double>(diff->report.weighted_edit_distance);
+      sum_match += diff->report.match_seconds;
+      sum_script += diff->report.script_seconds;
       if (total < best_total) best_total = total;
     }
 

@@ -61,7 +61,7 @@ int main() {
                   TablePrinter::Fmt(ours_ms, 2), TablePrinter::Fmt(zs_ms, 2),
                   TablePrinter::Fmt(ours_ms > 0 ? zs_ms / ours_ms : 0.0, 1),
                   TablePrinter::Fmt(ours->script.size()),
-                  TablePrinter::Fmt(ours->stats.script_cost, 2),
+                  TablePrinter::Fmt(ours->script.TotalCost(), 2),
                   TablePrinter::Fmt(zs_cost, 2),
                   TablePrinter::Fmt(zs_moves.distance_with_moves, 2)});
   }

@@ -87,9 +87,10 @@ int main(int argc, char** argv) {
   }
 
   std::fputs(result->markup.c_str(), stdout);
+  const EditScript& script = result->diff.script;
   std::fprintf(stderr,
                "[htmldiff] %zu inserts, %zu deletes, %zu updates, %zu moves\n",
-               result->diff.stats.inserts, result->diff.stats.deletes,
-               result->diff.stats.updates, result->diff.stats.moves);
+               script.num_inserts(), script.num_deletes(),
+               script.num_updates(), script.num_moves());
   return 0;
 }

@@ -96,12 +96,12 @@ int main(int argc, char** argv) {
   }
 
   std::fputs(result->markup.c_str(), stdout);
+  const EditScript& script = result->diff.script;
   std::fprintf(stderr,
                "[ladiff] %zu inserts, %zu deletes, %zu updates, %zu moves "
                "(cost %.2f; %zu leaf comparisons)\n",
-               result->diff.stats.inserts, result->diff.stats.deletes,
-               result->diff.stats.updates, result->diff.stats.moves,
-               result->diff.stats.script_cost,
-               result->diff.stats.compare_calls);
+               script.num_inserts(), script.num_deletes(),
+               script.num_updates(), script.num_moves(), script.TotalCost(),
+               result->diff.report.compare_calls);
   return 0;
 }

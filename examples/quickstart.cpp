@@ -73,8 +73,7 @@ int main() {
               RenderMarkup(*delta, *labels, MarkupFormat::kText).c_str());
 
   std::printf("\nstats: %zu compares, %zu partner checks, d=%zu, e=%zu\n",
-              diff->stats.compare_calls, diff->stats.partner_checks,
-              diff->stats.unweighted_edit_distance,
-              diff->stats.weighted_edit_distance);
+              diff->report.compare_calls, diff->report.partner_checks,
+              diff->script.size(), diff->report.weighted_edit_distance);
   return 0;
 }

@@ -106,9 +106,10 @@ int main() {
         "epoch %d: %3zu nodes | intended %2zu edits -> "
         "ins=%zu del=%zu upd=%zu mov=%zu (cost %.1f, e=%zu) | "
         "%zu bytes on the wire | %zu rule firings\n",
-        epoch, next.new_tree.size(), next.intended_ops, diff->stats.inserts,
-        diff->stats.deletes, diff->stats.updates, diff->stats.moves,
-        diff->stats.script_cost, diff->stats.weighted_edit_distance,
+        epoch, next.new_tree.size(), next.intended_ops,
+        diff->script.num_inserts(), diff->script.num_deletes(),
+        diff->script.num_updates(), diff->script.num_moves(),
+        diff->script.TotalCost(), diff->report.weighted_edit_distance,
         wire.size(), firings.size());
     if (diff->report.degraded) {
       std::printf("    (budget degraded the diff to the %s rung: %s)\n",

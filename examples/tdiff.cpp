@@ -189,7 +189,8 @@ int main(int argc, char** argv) {
   } else if (output == "delta") {
     std::printf("%s\n", delta->ToDebugString(*labels).c_str());
   } else if (output == "stats") {
-    const DiffStats& s = diff->stats;
+    const EditScript& s = diff->script;
+    const DiffReport& r = diff->report;
     std::printf(
         "nodes: %zu -> %zu\nmatched pairs: %zu\n"
         "inserts: %zu\ndeletes: %zu\nupdates: %zu\nmoves: %zu "
@@ -197,11 +198,11 @@ int main(int argc, char** argv) {
         "script cost: %.2f\nunweighted distance d: %zu\n"
         "weighted distance e: %zu\ncompare calls: %zu\npartner checks: %zu\n"
         "match time: %.3f ms\nscript time: %.3f ms\n",
-        t1->size(), t2->size(), diff->matching.size(), s.inserts, s.deletes,
-        s.updates, s.moves, s.intra_parent_moves, s.inter_parent_moves,
-        s.script_cost, s.unweighted_edit_distance, s.weighted_edit_distance,
-        s.compare_calls, s.partner_checks, s.match_seconds * 1e3,
-        s.script_seconds * 1e3);
+        t1->size(), t2->size(), diff->matching.size(), s.num_inserts(),
+        s.num_deletes(), s.num_updates(), s.num_moves(), r.intra_parent_moves,
+        r.inter_parent_moves, s.TotalCost(), s.size(),
+        r.weighted_edit_distance, r.compare_calls, r.partner_checks,
+        r.match_seconds * 1e3, r.script_seconds * 1e3);
   } else if (output == "markup") {
     switch (new_format) {
       case Format::kLatex:

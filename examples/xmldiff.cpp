@@ -122,8 +122,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "[xmldiff] %zu inserts, %zu deletes, %zu updates, %zu moves "
                "(cost %.2f)\n",
-               diff->stats.inserts, diff->stats.deletes,
-               diff->stats.updates, diff->stats.moves,
-               diff->stats.script_cost);
+               diff->script.num_inserts(), diff->script.num_deletes(),
+               diff->script.num_updates(), diff->script.num_moves(),
+               diff->script.TotalCost());
   return 0;
 }

@@ -35,7 +35,6 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   DiffContext ctx(t1, t2, options);
   const Budget* budget = ctx.budget();
 
-  DiffStats stats;
   DiffReport report;
   report.requested_rung = options.start_rung;
   WallTimer timer;
@@ -100,11 +99,11 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   if (!report.matching_reused && BudgetOk(budget) &&
       rung != DiffRung::kTopLevelReplace) {
     if (options.post_process) {
-      stats.post_process_rematched =
+      report.post_process_rematched =
           PostProcessMatching(t1, t2, ctx.evaluator(), &matching.value());
     }
     if (options.complete_context) {
-      stats.context_completed =
+      report.context_completed =
           CompleteContextMatching(t1, t2, &matching.value());
     }
   }
@@ -119,9 +118,9 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   } else if (!report.matching_reused) {
     FilterIntactSettled(t1, t2, *matching, &settled);
   }
-  stats.match_seconds = timer.ElapsedSeconds();
-  stats.compare_calls = ctx.evaluator().compare_calls();
-  stats.partner_checks = ctx.evaluator().partner_checks();
+  report.match_seconds = timer.ElapsedSeconds();
+  report.compare_calls = ctx.evaluator().compare_calls();
+  report.partner_checks = ctx.evaluator().partner_checks();
 
   // Phase 2: the Minimum Conforming Edit Script problem (Section 4). The
   // generator gets the budget only while it still holds — once exhausted
@@ -145,17 +144,10 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
                              /*budget=*/nullptr);
   }
   if (!gen.ok()) return gen.status();
-  stats.script_seconds = timer.ElapsedSeconds();
-
-  stats.inserts = gen->script.num_inserts();
-  stats.deletes = gen->script.num_deletes();
-  stats.updates = gen->script.num_updates();
-  stats.moves = gen->script.num_moves();
-  stats.intra_parent_moves = gen->intra_parent_moves;
-  stats.inter_parent_moves = gen->inter_parent_moves;
-  stats.weighted_edit_distance = gen->weighted_edit_distance;
-  stats.unweighted_edit_distance = gen->unweighted_edit_distance;
-  stats.script_cost = gen->script.TotalCost();
+  report.script_seconds = timer.ElapsedSeconds();
+  report.intra_parent_moves = gen->intra_parent_moves;
+  report.inter_parent_moves = gen->inter_parent_moves;
+  report.weighted_edit_distance = gen->weighted_edit_distance;
 
   report.rung = rung;
   report.degraded =
@@ -167,10 +159,6 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
     report.comparisons = budget->comparisons();
     report.peak_arena_bytes = budget->peak_arena_bytes();
     report.elapsed_seconds = budget->elapsed_seconds();
-  } else {
-    report.nodes_visited = t1.size() + t2.size();
-    report.comparisons = stats.compare_calls + stats.partner_checks;
-    report.elapsed_seconds = stats.match_seconds + stats.script_seconds;
   }
   // Report this run's cache traffic only: a caller-supplied comparator
   // (DiffOptions::comparator) may be shared across DiffTrees calls, so the
@@ -181,7 +169,7 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   report.tokenize_cache_hits = cache.tokenize_hits - base.tokenize_hits;
   report.tokenize_cache_misses = cache.tokenize_misses - base.tokenize_misses;
 
-  DiffResult result{std::move(*matching), std::move(gen->script), stats,
+  DiffResult result{std::move(*matching), std::move(gen->script),
                     std::move(report), std::move(settled)};
   return result;
 }

@@ -19,7 +19,8 @@
 
 namespace treediff {
 
-/// How a DiffTrees call spent its budget and where it landed on the ladder.
+/// What a DiffTrees call did: where it landed on the ladder, what it
+/// counted (the Section 8 quantities), and how it spent its budget.
 /// (DiffRung, DiffRungName, and DiffOptions live in diff_context.h.)
 struct DiffReport {
   /// The rung the caller asked for (DiffOptions::start_rung).
@@ -38,9 +39,31 @@ struct DiffReport {
   Code exhaustion_code = Code::kOk;
   std::string exhaustion_detail;
 
-  /// Budget counters at return. With no budget set, nodes/comparisons are
-  /// estimated from the pipeline's own instrumentation and peak_arena_bytes
-  /// is 0 (precise tracking needs a Budget).
+  /// Leaf compare() invocations (r1 in Section 8) and partner checks (r2)
+  /// during phase 1: the matcher ladder and the repair passes.
+  size_t compare_calls = 0;
+  size_t partner_checks = 0;
+
+  /// Pairs repaired by the post-processing pass and pairs added by the
+  /// context-completion pass.
+  size_t post_process_rematched = 0;
+  size_t context_completed = 0;
+
+  /// The returned script's moves by kind (EditScriptResult) and its weighted
+  /// edit distance e (Section 5.3). Per-op counts, the unweighted distance d
+  /// and the cost are read from DiffResult::script itself (num_inserts(),
+  /// num_deletes(), num_updates(), num_moves(), size(), TotalCost()).
+  size_t intra_parent_moves = 0;
+  size_t inter_parent_moves = 0;
+  size_t weighted_edit_distance = 0;
+
+  /// Wall-clock seconds spent in matching (phase 1, with the pre-pass and
+  /// repair passes) and in script generation (phase 2).
+  double match_seconds = 0.0;
+  double script_seconds = 0.0;
+
+  /// DiffOptions::budget's counters at return. All zero when no budget was
+  /// set: the pipeline's own counts are the fields above.
   size_t nodes_visited = 0;
   size_t comparisons = 0;
   size_t peak_arena_bytes = 0;
@@ -68,42 +91,6 @@ struct DiffReport {
   bool matching_reused = false;
 };
 
-/// Counters and measures reported by DiffTrees; these are the quantities the
-/// Section 8 evaluation plots.
-struct DiffStats {
-  /// Leaf compare() invocations during matching (r1 in Section 8).
-  size_t compare_calls = 0;
-
-  /// Partner checks during matching (r2 in Section 8).
-  size_t partner_checks = 0;
-
-  /// Pairs repaired by the post-processing pass.
-  size_t post_process_rematched = 0;
-
-  /// Pairs added by the context-completion pass.
-  size_t context_completed = 0;
-
-  size_t inserts = 0;
-  size_t deletes = 0;
-  size_t updates = 0;
-  size_t moves = 0;
-  size_t intra_parent_moves = 0;
-  size_t inter_parent_moves = 0;
-
-  /// Weighted edit distance e (Section 5.3) of the generated script.
-  size_t weighted_edit_distance = 0;
-
-  /// Unweighted edit distance d: operations in the generated script.
-  size_t unweighted_edit_distance = 0;
-
-  /// Total script cost under the Section 3.2 cost model.
-  double script_cost = 0.0;
-
-  /// Wall-clock seconds spent in matching and script generation.
-  double match_seconds = 0.0;
-  double script_seconds = 0.0;
-};
-
 /// Result of the end-to-end pipeline.
 struct DiffResult {
   /// The "good matching" over original t1/t2 ids (input to EditScript).
@@ -112,9 +99,7 @@ struct DiffResult {
   /// The minimum-cost conforming edit script.
   EditScript script;
 
-  DiffStats stats;
-
-  /// Ladder rung taken and resource counters (see DiffReport).
+  /// Ladder rung taken, pipeline counters and timings (see DiffReport).
   DiffReport report;
 
   /// The settled (t1, t2) subtree root pairs whose interiors script

@@ -138,20 +138,8 @@ class ScriptGenerator {
   }
 
   EditScriptResult TakeResult() && {
-    EditScriptResult result{std::move(script_),
-                            Matching(p1_.size(), p2_.size()),
-                            std::move(work_)};
-    for (size_t x = 0; x < p1_.size(); ++x) {
-      if (p1_[x] != kInvalidNode && result.transformed.Alive(
-                                        static_cast<NodeId>(x))) {
-        result.total_matching.Add(static_cast<NodeId>(x), p1_[x]);
-      }
-    }
-    result.weighted_edit_distance = weighted_;
-    result.unweighted_edit_distance = result.script.size();
-    result.intra_parent_moves = intra_moves_;
-    result.inter_parent_moves = inter_moves_;
-    return result;
+    return EditScriptResult{std::move(script_), std::move(work_), weighted_,
+                            intra_moves_, inter_moves_};
   }
 
  private:

@@ -22,19 +22,12 @@ struct EditScriptResult {
   /// transformation.
   EditScript script;
 
-  /// The total matching M' between the transformed old tree and the new tree
-  /// (every node on both sides matched); extends the input matching.
-  Matching total_matching;
-
   /// The old tree after applying the script; isomorphic to the new tree.
   Tree transformed;
 
   /// Weighted edit distance e (Section 5.3): inserts and deletes weigh 1,
   /// a move weighs the number of leaves of the moved subtree, updates 0.
   size_t weighted_edit_distance = 0;
-
-  /// Unweighted edit distance d: the number of operations in the script.
-  size_t unweighted_edit_distance = 0;
 
   /// Align-phase moves (the paper's intra-parent moves; their minimum count
   /// is the number of misaligned nodes D in the O(ND) bound).

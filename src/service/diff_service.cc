@@ -518,8 +518,8 @@ DiffResponse DiffService::Process(const DiffRequest& request,
   response.rung = result->report.rung;
   response.degraded = result->report.degraded;
   response.operations = result->script.size();
-  response.match_seconds = result->stats.match_seconds;
-  response.gen_seconds = result->stats.script_seconds;
+  response.match_seconds = result->report.match_seconds;
+  response.gen_seconds = result->report.script_seconds;
   match_h_->Observe(response.match_seconds);
   gen_h_->Observe(response.gen_seconds);
   rung_counters_[static_cast<int>(response.rung)]->Increment();

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "store/codec.h"
@@ -278,6 +279,7 @@ std::unique_ptr<ReplicatedVersionStore> ReplicatedVersionStore::Assemble(
       state->store = primary;
     } else {
       state->role = ReplicaRole::kFollower;
+      state->source_epoch = primary->epoch();
       state->primary_rotations = primary->rotations();
     }
     group->states_.push_back(std::move(state));
@@ -346,6 +348,7 @@ StatusOr<int> ReplicatedVersionStore::CommitWithLease(
     const Tree& new_version, const CommitLease& commit_lease) {
   std::shared_ptr<VersionStore> primary;
   uint64_t target = 0;
+  Layout layout;
   int version = 0;
   {
     // The lease check and the primary append are atomic with respect to
@@ -368,36 +371,44 @@ StatusOr<int> ReplicatedVersionStore::CommitWithLease(
     if (!committed.ok()) return committed.status();
     version = *committed;
     target = primary->DurableOffset();
+    layout = {primary->epoch(), primary->rotations()};
   }
   ship_cv_.Signal();  // Wake the shipper for the new bytes.
 
   if (options_.ack_mode == AckMode::kLeaderOnly) return version;
 
   // Quorum wait: block until a majority of the non-deposed replica set has
-  // fsynced up to `target`. The primary's own fsync already happened inside
-  // Commit, so it votes immediately. A promotion mid-wait is fine ONLY if
-  // every promotion since our append kept a cursor at or past `target` —
-  // then the record sits inside the byte prefix all streams share and
-  // cursor comparisons stay meaningful. A promotion that cut below
-  // `target` replaced our record's bytes with the new primary's stream;
-  // counting cursors against that stream would ack a commit that no
-  // surviving replica holds, so the wait fails as unacked instead.
+  // fsynced up to `target` of `layout`. The primary's own fsync already
+  // happened inside Commit, so it votes immediately; a follower votes only
+  // while it copies that layout. A promotion mid-wait is fine ONLY if
+  // every promotion since our append kept `target` bytes of the record's
+  // layout — then the record sits inside the byte prefix all streams share
+  // and cursor comparisons stay meaningful. Any other promotion replaced
+  // our record's bytes with the new primary's stream; counting cursors
+  // against that stream would ack a commit that no surviving replica
+  // holds, so the wait fails as unacked instead. The check and the count
+  // share one lock, so no promotion lands between them.
   const auto start = std::chrono::steady_clock::now();
   for (;;) {
+    int votes = 0;
+    int voters = 0;
     {
       MutexLock lock(&mu_);
+      Layout current = layout;
       if (epoch_ != commit_lease.epoch) {
         // Every promotion bumps the epoch by one and appends to the
         // history, so the promotions since our append are exactly the
         // entries with epoch > commit_lease.epoch — provided none were
         // evicted (front() must reach back to our epoch + 1).
         bool survived = !promotion_history_.empty() &&
-                        promotion_history_.front().first <=
+                        promotion_history_.front().epoch <=
                             commit_lease.epoch + 1;
-        for (const auto& [promo_epoch, promo_cursor] : promotion_history_) {
-          if (promo_epoch > commit_lease.epoch && promo_cursor < target) {
+        for (const Promotion& promotion : promotion_history_) {
+          if (promotion.epoch <= commit_lease.epoch) continue;
+          if (promotion.from != current || promotion.kept < target) {
             survived = false;
           }
+          current = {promotion.epoch, 0};
         }
         if (!survived) {
           quorum_timeouts_.fetch_add(1, std::memory_order_relaxed);
@@ -408,18 +419,18 @@ StatusOr<int> ReplicatedVersionStore::CommitWithLease(
               "not contain it");
         }
       }
-    }
-    int votes = 0;
-    int voters = 0;
-    for (const auto& state_ptr : states_) {
-      ReplicaState* state = state_ptr.get();
-      MutexLock lock(&state->mu);
-      if (state->role == ReplicaRole::kDeposed) continue;
-      ++voters;
-      if (state->role == ReplicaRole::kPrimary) {
-        if (state->store && state->store->DurableOffset() >= target) ++votes;
-      } else if (state->cursor >= target) {
-        ++votes;
+      for (const auto& state_ptr : states_) {
+        ReplicaState* state = state_ptr.get();
+        MutexLock state_lock(&state->mu);
+        if (state->role == ReplicaRole::kDeposed) continue;
+        ++voters;
+        if (state->role == ReplicaRole::kPrimary) {
+          if (state->store && state->store->DurableOffset() >= target) ++votes;
+        } else if (Layout{state->source_epoch, state->primary_rotations} ==
+                       current &&
+                   state->cursor >= target) {
+          ++votes;
+        }
       }
     }
     const double elapsed = SecondsSince(start);
@@ -465,6 +476,9 @@ Status ReplicatedVersionStore::PumpOne(ReplicaState* state) {
 
   MutexLock lock(&state->mu);
   if (state->role != ReplicaRole::kFollower) return Status::Ok();
+  // A snapshot older than the promotion that re-pointed this follower is
+  // stale; the next round ships from the new primary.
+  if (state->source_epoch != primary->epoch()) return Status::Ok();
 
   // A rewritten primary log (rotation: self-heal, scrub repair, salvage)
   // invalidates byte offsets wholesale — the cursor means nothing against
@@ -545,6 +559,7 @@ Status ReplicatedVersionStore::ResyncLocked(
   // preserved. Offsets in the old layout no longer mean anything.
   state->fence_epoch = 0;
   state->fence_cursor = 0;
+  state->source_epoch = primary->epoch();
   state->primary_rotations = primary->rotations();
   state->config.env->DeleteFile(state->config.path).IgnoreError();
   return Status::Ok();
@@ -663,9 +678,12 @@ StatusOr<int> ReplicatedVersionStore::PromoteInternal(
 
   // Pick the most-caught-up follower unless the caller named one. Maximal
   // cursor is what makes quorum acks durable across the failover: the
-  // longest follower log contains every byte any majority fsynced.
+  // longest follower log contains every byte any majority fsynced — within
+  // one layout. A follower's first pump after a rotation copies the whole
+  // rewritten log, so any bytes of a newer layout outrank an older one.
   int candidate = -1;
   uint64_t candidate_cursor = 0;
+  Layout candidate_layout;
   if (follower_index >= 0) {
     if (follower_index >= static_cast<int>(states_.size())) {
       return Status::OutOfRange("replication: no replica " +
@@ -680,14 +698,21 @@ StatusOr<int> ReplicatedVersionStore::PromoteInternal(
     }
     candidate = follower_index;
     candidate_cursor = state->cursor;
+    candidate_layout = {state->source_epoch, state->primary_rotations};
   } else {
+    auto rank = [](uint64_t cursor, const Layout& layout) {
+      return std::make_tuple(cursor > 0, layout, cursor);
+    };
     for (size_t i = 0; i < states_.size(); ++i) {
       ReplicaState* state = states_[i].get();
       MutexLock state_lock(&state->mu);
       if (state->role != ReplicaRole::kFollower) continue;
-      if (candidate < 0 || state->cursor > candidate_cursor) {
+      const Layout layout{state->source_epoch, state->primary_rotations};
+      if (candidate < 0 || rank(state->cursor, layout) >
+                               rank(candidate_cursor, candidate_layout)) {
         candidate = static_cast<int>(i);
         candidate_cursor = state->cursor;
+        candidate_layout = layout;
       }
     }
     if (candidate < 0) {
@@ -726,6 +751,9 @@ StatusOr<int> ReplicatedVersionStore::PromoteInternal(
     return bump;
   }
   auto new_primary = std::make_shared<VersionStore>(std::move(*opened));
+  // Opening or stamping the candidate may rotate its log (salvage, or a
+  // fault on the kEpoch append): records survive, byte offsets do not.
+  const uint64_t kept = new_primary->rotations() == 0 ? candidate_cursor : 0;
 
   // Point of no return: depose the old primary and flip the group view.
   ReplicaState* old = states_[static_cast<size_t>(primary_index_)].get();
@@ -741,28 +769,32 @@ StatusOr<int> ReplicatedVersionStore::PromoteInternal(
   }
   primary_index_ = candidate;
   epoch_ = new_epoch;
-  promotion_history_.emplace_back(new_epoch, candidate_cursor);
+  promotion_history_.push_back({new_epoch, candidate_layout, kept});
   if (promotion_history_.size() > 64) {
     promotion_history_.erase(promotion_history_.begin());
   }
 
-  // Re-point the surviving followers. Their logs are byte prefixes of the
-  // old primary's stream; a follower at or behind the candidate's cursor
-  // is therefore a byte prefix of the new primary's log and keeps its
-  // cursor/chain. A follower *ahead* of the candidate (possible only with
-  // an explicitly named, non-maximal candidate) holds bytes the new
-  // primary replaced with its kEpoch record — it diverged and must resync.
+  // Re-point the surviving followers. One copying the candidate's layout,
+  // at or behind the bytes the new primary kept, is a byte prefix of the
+  // new primary's log and keeps its cursor/chain. One *ahead* of the
+  // candidate (possible only with an explicitly named, non-maximal
+  // candidate) holds bytes the new primary replaced with its kEpoch
+  // record, and one copying another layout shares no offsets with it —
+  // both diverged and must resync.
   for (size_t i = 0; i < states_.size(); ++i) {
     if (static_cast<int>(i) == candidate) continue;
     ReplicaState* state = states_[i].get();
     MutexLock state_lock(&state->mu);
     if (state->role != ReplicaRole::kFollower) continue;
-    if (state->cursor > candidate_cursor) {
+    if (state->cursor > kept ||
+        Layout{state->source_epoch, state->primary_rotations} !=
+            candidate_layout) {
       ResyncLocked(state, new_primary).IgnoreError();
       continue;
     }
     state->fence_epoch = new_epoch;
     state->fence_cursor = candidate_cursor;
+    state->source_epoch = new_primary->epoch();
     state->primary_rotations = new_primary->rotations();
   }
 

@@ -266,7 +266,9 @@ class ReplicatedVersionStore {
     uint32_t chain GUARDED_BY(mu) = 0;   // CRC32C over bytes [0, cursor).
     uint64_t records GUARDED_BY(mu) = 0;
     bool dirty GUARDED_BY(mu) = false;  // Unverified tail past the cursor.
-    uint64_t primary_rotations GUARDED_BY(mu) = 0;  // For rewrite detection.
+    // The Layout [0, cursor) copies: its primary's epoch and rotations.
+    uint64_t source_epoch GUARDED_BY(mu) = 0;
+    uint64_t primary_rotations GUARDED_BY(mu) = 0;
 
     // Epoch fence: records at/after fence_cursor must carry an epoch
     // >= fence_epoch. Offsets before it are accepted history (they
@@ -334,15 +336,25 @@ class ReplicatedVersionStore {
   int primary_index_ GUARDED_BY(mu_) = 0;
   uint64_t epoch_ GUARDED_BY(mu_) = 0;
 
-  /// {epoch, candidate cursor} of recent promotions, newest last. A quorum
-  /// waiter whose commit predates a promotion consults this: if any
-  /// promotion since its epoch cut below the commit's end offset, the
-  /// record no longer exists on the surviving stream and the wait must
-  /// fail rather than count votes against a different byte sequence.
-  /// Bounded (failovers are rare events); a waiter whose epoch has been
-  /// evicted fails conservatively.
-  std::vector<std::pair<uint64_t, uint64_t>> promotion_history_
-      GUARDED_BY(mu_);
+  /// {epoch, rotations} of the primary store that wrote a log. A rotation
+  /// rewrites the log, so byte offsets compare only within one layout.
+  using Layout = std::pair<uint64_t, uint64_t>;
+
+  /// The epoch a promotion started, the layout the candidate copied, and
+  /// the bytes of it the new primary kept (0 if opening it rewrote the log).
+  struct Promotion {
+    uint64_t epoch = 0;
+    Layout from;
+    uint64_t kept = 0;
+  };
+
+  /// Recent promotions, newest last. A quorum waiter whose commit predates
+  /// a promotion consults this: unless every promotion since its epoch
+  /// kept the record's layout up to the commit's end offset, the record no
+  /// longer exists on the surviving stream and the wait must fail rather
+  /// than count votes against a different byte sequence. Bounded
+  /// (failovers are rare); an evicted epoch fails conservatively.
+  std::vector<Promotion> promotion_history_ GUARDED_BY(mu_);
 
   /// Fixed at Create; ReplicaState addresses are stable (unique_ptr).
   std::vector<std::unique_ptr<ReplicaState>> states_;

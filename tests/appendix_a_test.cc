@@ -44,15 +44,15 @@ TEST_F(AppendixATest, ScriptTransformsOldIntoNew) {
 
 TEST_F(AppendixATest, DetectsTheDocumentedChangeMix) {
   ASSERT_NE(result_, nullptr);
-  const DiffStats& stats = result_->diff.stats;
+  const EditScript& script = result_->diff.script;
   // Figure 16 shows: moved sentences S1, S2; a moved paragraph; inserted
   // material (a whole section plus a sentence); a deleted sentence; and
   // updated sentences. The exact op counts depend on thresholds, but each
   // category must be detected.
-  EXPECT_GE(stats.moves, 2u) << "sentence + paragraph moves expected";
-  EXPECT_GE(stats.updates, 1u);
-  EXPECT_GE(stats.inserts, 1u);
-  EXPECT_GE(stats.deletes, 1u);
+  EXPECT_GE(script.num_moves(), 2u) << "sentence + paragraph moves expected";
+  EXPECT_GE(script.num_updates(), 1u);
+  EXPECT_GE(script.num_inserts(), 1u);
+  EXPECT_GE(script.num_deletes(), 1u);
 }
 
 TEST_F(AppendixATest, MovedConclusionSentenceDetected) {

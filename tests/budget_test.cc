@@ -144,8 +144,8 @@ TEST(DiffLadderTest, NoBudgetStaysOnRequestedRung) {
   EXPECT_EQ(result->report.rung, DiffRung::kFastMatch);
   EXPECT_FALSE(result->report.degraded);
   EXPECT_EQ(result->report.exhaustion_code, Code::kOk);
-  // Estimated counters are still populated.
-  EXPECT_GT(result->report.nodes_visited, 0u);
+  // The budget counters count a budget; without one they stay zero.
+  EXPECT_EQ(result->report.nodes_visited, 0u);
 }
 
 TEST(DiffLadderTest, AmpleBudgetDoesNotDegrade) {
@@ -250,6 +250,13 @@ TEST(DiffLadderTest, NodeCapTripsScriptGenFallsToTopLevelReplace) {
   Tree replay = t1.Clone();
   ASSERT_TRUE(result->script.ApplyTo(&replay).ok());
   EXPECT_TRUE(Tree::Isomorphic(replay, t2));
+  // The counters describe the returned bare replace, not the discarded
+  // half-built script.
+  EXPECT_EQ(result->report.rung, DiffRung::kTopLevelReplace);
+  EXPECT_EQ(result->script.num_moves(), 0u);
+  EXPECT_EQ(result->report.intra_parent_moves, 0u);
+  EXPECT_EQ(result->report.inter_parent_moves, 0u);
+  EXPECT_EQ(result->report.weighted_edit_distance, result->script.size());
 }
 
 TEST(DiffLadderTest, RequestedTopLevelReplaceIsBareReplace) {
@@ -262,8 +269,8 @@ TEST(DiffLadderTest, RequestedTopLevelReplaceIsBareReplace) {
   EXPECT_EQ(result->report.rung, DiffRung::kTopLevelReplace);
   EXPECT_FALSE(result->report.degraded);  // We asked for it.
   // Everything except the root is deleted and re-inserted.
-  EXPECT_EQ(result->stats.deletes, t1.size() - 1);
-  EXPECT_EQ(result->stats.inserts, t2.size() - 1);
+  EXPECT_EQ(result->script.num_deletes(), t1.size() - 1);
+  EXPECT_EQ(result->script.num_inserts(), t2.size() - 1);
   Tree replay = t1.Clone();
   ASSERT_TRUE(result->script.ApplyTo(&replay).ok());
   EXPECT_TRUE(Tree::Isomorphic(replay, t2));

@@ -110,7 +110,7 @@ TEST(CostModelTest, DiffOptionsPlumbing) {
   options.cost_model = &model;
   auto diff = DiffTrees(t1, t2, options);
   ASSERT_TRUE(diff.ok());
-  EXPECT_DOUBLE_EQ(diff->stats.script_cost, 10.0);
+  EXPECT_DOUBLE_EQ(diff->script.TotalCost(), 10.0);
 }
 
 TEST(CostModelTest, OperationsUnchangedOnlyPricesDiffer) {

@@ -89,10 +89,10 @@ TEST(CrossFormatTest, CrossFormatDiffFindsRealChanges) {
   ASSERT_TRUE(html.ok());
   auto diff = DiffTrees(*latex, *html);
   ASSERT_TRUE(diff.ok());
-  EXPECT_EQ(diff->stats.updates, 1u);
+  EXPECT_EQ(diff->script.num_updates(), 1u);
   // The new item contributes its item + paragraph + sentence inserts.
-  EXPECT_GE(diff->stats.inserts, 3u);
-  EXPECT_EQ(diff->stats.deletes, 0u);
+  EXPECT_GE(diff->script.num_inserts(), 3u);
+  EXPECT_EQ(diff->script.num_deletes(), 0u);
   Tree replay = latex->Clone();
   ASSERT_TRUE(diff->script.ApplyTo(&replay).ok());
   EXPECT_TRUE(Tree::Isomorphic(replay, *html));

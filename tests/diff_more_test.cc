@@ -74,8 +74,8 @@ TEST(DiffMoreTest, LooserLeafThresholdNeverRaisesCost) {
     options.post_process = false;
     auto diff = DiffTrees(t1, v.new_tree, options);
     ASSERT_TRUE(diff.ok());
-    EXPECT_LE(diff->stats.script_cost, prev + 1e-9) << "f=" << f_param;
-    prev = diff->stats.script_cost;
+    EXPECT_LE(diff->script.TotalCost(), prev + 1e-9) << "f=" << f_param;
+    prev = diff->script.TotalCost();
   }
 }
 
@@ -100,7 +100,7 @@ TEST(DiffMoreTest, ContextCompletionIsNoopOnCleanDocuments) {
   ASSERT_TRUE(b.ok());
   // Completion can only add pairs; on this workload it should add few and
   // never increase the cost.
-  EXPECT_LE(a->stats.script_cost, b->stats.script_cost + 1e-9);
+  EXPECT_LE(a->script.TotalCost(), b->script.TotalCost() + 1e-9);
 }
 
 TEST(DiffMoreTest, ContextCompletionRescuesShortValues) {
@@ -118,10 +118,10 @@ TEST(DiffMoreTest, ContextCompletionRescuesShortValues) {
   ASSERT_TRUE(diff.ok());
   // "2" -> "9" has compare distance 2 (single disjoint tokens); without
   // completion this is delete+insert, with it a single update.
-  EXPECT_EQ(diff->stats.updates, 1u);
-  EXPECT_EQ(diff->stats.inserts, 0u);
-  EXPECT_EQ(diff->stats.deletes, 0u);
-  EXPECT_GT(diff->stats.context_completed, 0u);
+  EXPECT_EQ(diff->script.num_updates(), 1u);
+  EXPECT_EQ(diff->script.num_inserts(), 0u);
+  EXPECT_EQ(diff->script.num_deletes(), 0u);
+  EXPECT_GT(diff->report.context_completed, 0u);
 }
 
 TEST(DiffMoreTest, StatsContextCountZeroWhenDisabled) {
@@ -130,7 +130,7 @@ TEST(DiffMoreTest, StatsContextCountZeroWhenDisabled) {
   Tree t2 = *ParseSexpr("(db (cell \"2\"))", labels);
   auto diff = DiffTrees(t1, t2);
   ASSERT_TRUE(diff.ok());
-  EXPECT_EQ(diff->stats.context_completed, 0u);
+  EXPECT_EQ(diff->report.context_completed, 0u);
 }
 
 TEST(DiffMoreTest, RootLabelMismatchReportsCleanError) {
@@ -157,7 +157,7 @@ TEST(DiffMoreTest, WrapRootWorkflowEndToEnd) {
   ASSERT_TRUE(diff->script.ApplyTo(&replay).ok());
   EXPECT_TRUE(Tree::Isomorphic(replay, t2));
   // The shared sentence survives as a move, not delete+insert.
-  EXPECT_EQ(diff->stats.moves, 1u);
+  EXPECT_EQ(diff->script.num_moves(), 1u);
 }
 
 TEST(DiffMoreTest, FullyDeterministicAcrossRuns) {

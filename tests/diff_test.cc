@@ -22,8 +22,8 @@ TEST(DiffTreesTest, IdenticalTreesEmptyScript) {
   auto result = DiffTrees(t1, t2);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->script.empty());
-  EXPECT_DOUBLE_EQ(result->stats.script_cost, 0.0);
-  EXPECT_EQ(result->stats.unweighted_edit_distance, 0u);
+  EXPECT_DOUBLE_EQ(result->script.TotalCost(), 0.0);
+  EXPECT_EQ(result->script.size(), 0u);
   EXPECT_EQ(result->matching.size(), 3u);
 }
 
@@ -39,9 +39,9 @@ TEST(DiffTreesTest, EndToEndMixedEdits) {
       "(S \"totally fresh sentence\")))");
   auto result = DiffTrees(t1, t2);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->stats.updates, 1u);  // fox -> wolf.
-  EXPECT_EQ(result->stats.deletes, 1u);  // "jumped over dogs".
-  EXPECT_EQ(result->stats.inserts, 1u);  // fresh sentence.
+  EXPECT_EQ(result->script.num_updates(), 1u);  // fox -> wolf.
+  EXPECT_EQ(result->script.num_deletes(), 1u);  // "jumped over dogs".
+  EXPECT_EQ(result->script.num_inserts(), 1u);  // fresh sentence.
   // Verify by replay.
   Tree replay = t1.Clone();
   ASSERT_TRUE(result->script.ApplyTo(&replay).ok());
@@ -54,13 +54,13 @@ TEST(DiffTreesTest, StatsCountersPopulated) {
   Tree t2 = f.Parse("(D (P (S \"a b c\") (S \"x y z\")))");
   auto result = DiffTrees(t1, t2);
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->stats.compare_calls, 0u);
-  EXPECT_GT(result->stats.partner_checks, 0u);
-  EXPECT_GE(result->stats.match_seconds, 0.0);
-  EXPECT_GE(result->stats.script_seconds, 0.0);
-  EXPECT_EQ(result->stats.inserts + result->stats.deletes +
-                result->stats.updates + result->stats.moves,
-            result->stats.unweighted_edit_distance);
+  EXPECT_GT(result->report.compare_calls, 0u);
+  EXPECT_GT(result->report.partner_checks, 0u);
+  EXPECT_GE(result->report.match_seconds, 0.0);
+  EXPECT_GE(result->report.script_seconds, 0.0);
+  EXPECT_EQ(result->script.num_inserts() + result->script.num_deletes() +
+                result->script.num_updates() + result->script.num_moves(),
+            result->script.size());
 }
 
 TEST(DiffTreesTest, MatchVsFastMatchProduceEquivalentScripts) {
@@ -79,7 +79,7 @@ TEST(DiffTreesTest, MatchVsFastMatchProduceEquivalentScripts) {
   auto r2 = DiffTrees(t1, t2, slow);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
-  EXPECT_DOUBLE_EQ(r1->stats.script_cost, r2->stats.script_cost);
+  EXPECT_DOUBLE_EQ(r1->script.TotalCost(), r2->script.TotalCost());
 }
 
 TEST(DiffTreesTest, CustomComparatorIsUsed) {
@@ -93,9 +93,9 @@ TEST(DiffTreesTest, CustomComparatorIsUsed) {
   ASSERT_TRUE(result.ok());
   // Exact comparator: distance 2 > f, so the leaves cannot match; the
   // script deletes and re-inserts instead of updating.
-  EXPECT_EQ(result->stats.updates, 0u);
-  EXPECT_EQ(result->stats.inserts, 1u);
-  EXPECT_EQ(result->stats.deletes, 1u);
+  EXPECT_EQ(result->script.num_updates(), 0u);
+  EXPECT_EQ(result->script.num_inserts(), 1u);
+  EXPECT_EQ(result->script.num_deletes(), 1u);
   EXPECT_GT(exact.calls(), 0u);
 }
 
@@ -137,9 +137,9 @@ TEST(DiffTreesTest, WeightedDistanceTracksSubtreeMoves) {
       "(P (S \"m1 m1 m1\") (S \"m2 m2 m2\"))))");
   auto result = DiffTrees(t1, t2);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->stats.moves, 1u);
-  EXPECT_EQ(result->stats.weighted_edit_distance, 2u);
-  EXPECT_EQ(result->stats.unweighted_edit_distance, 1u);
+  EXPECT_EQ(result->script.num_moves(), 1u);
+  EXPECT_EQ(result->report.weighted_edit_distance, 2u);
+  EXPECT_EQ(result->script.size(), 1u);
 }
 
 TEST(DiffTreesTest, RootsForcedWhenCriteriaFail) {

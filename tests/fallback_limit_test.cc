@@ -103,10 +103,10 @@ TEST(FallbackLimitTest, CostDecreasesMonotonicallyInK) {
     options.post_process = false;  // Isolate the fallback effect.
     auto diff = DiffTrees(t1, v.new_tree, options);
     ASSERT_TRUE(diff.ok());
-    EXPECT_LE(diff->stats.script_cost, prev_cost + 1e-9) << "k=" << k;
-    EXPECT_GE(diff->stats.compare_calls, prev_cmp) << "k=" << k;
-    prev_cost = diff->stats.script_cost;
-    prev_cmp = diff->stats.compare_calls;
+    EXPECT_LE(diff->script.TotalCost(), prev_cost + 1e-9) << "k=" << k;
+    EXPECT_GE(diff->report.compare_calls, prev_cmp) << "k=" << k;
+    prev_cost = diff->script.TotalCost();
+    prev_cmp = diff->report.compare_calls;
   }
 }
 

@@ -16,9 +16,9 @@ TEST(LaDiffTest, EndToEndLatexPipeline) {
       "A second paragraph lives here. With two sentences. And a third one.\n";
   auto result = DiffLatexDocuments(old_doc, new_doc);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->diff.stats.updates, 1u);
-  EXPECT_EQ(result->diff.stats.inserts, 1u);
-  EXPECT_EQ(result->diff.stats.deletes, 0u);
+  EXPECT_EQ(result->diff.script.num_updates(), 1u);
+  EXPECT_EQ(result->diff.script.num_inserts(), 1u);
+  EXPECT_EQ(result->diff.script.num_deletes(), 0u);
   EXPECT_FALSE(result->markup.empty());
   // The delta tree mirrors the new document plus tombstones.
   EXPECT_GT(result->delta.nodes().size(), result->new_tree.size() - 1);
@@ -32,7 +32,7 @@ TEST(LaDiffTest, ScriptTransformsOldIntoNew) {
   Tree replay = result->old_tree.Clone();
   ASSERT_TRUE(result->diff.script.ApplyTo(&replay).ok());
   EXPECT_TRUE(Tree::Isomorphic(replay, result->new_tree));
-  EXPECT_EQ(result->diff.stats.moves, 1u);  // One sentence reorder.
+  EXPECT_EQ(result->diff.script.num_moves(), 1u);  // One sentence reorder.
 }
 
 TEST(LaDiffTest, HtmlPipeline) {
@@ -44,7 +44,7 @@ TEST(LaDiffTest, HtmlPipeline) {
   options.format = MarkupFormat::kHtml;
   auto result = DiffHtmlDocuments(old_doc, new_doc, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->diff.stats.updates, 1u);
+  EXPECT_EQ(result->diff.script.num_updates(), 1u);
   EXPECT_NE(result->markup.find("class=\"upd\""), std::string::npos);
 }
 
@@ -94,15 +94,15 @@ TEST(LaDiffTest, ThresholdOptionsForwarded) {
   ASSERT_TRUE(result.ok());
   // The sentence cannot match, which also unmatches its paragraph: the
   // script re-inserts both instead of updating.
-  EXPECT_EQ(result->diff.stats.updates, 0u);
-  EXPECT_GE(result->diff.stats.inserts, 1u);
-  EXPECT_GE(result->diff.stats.deletes, 1u);
+  EXPECT_EQ(result->diff.script.num_updates(), 0u);
+  EXPECT_GE(result->diff.script.num_inserts(), 1u);
+  EXPECT_GE(result->diff.script.num_deletes(), 1u);
 
   LaDiffOptions lenient;
   lenient.diff.leaf_threshold_f = 0.5;
   auto result2 = DiffLatexDocuments(old_doc, new_doc, lenient);
   ASSERT_TRUE(result2.ok());
-  EXPECT_EQ(result2->diff.stats.updates, 1u);
+  EXPECT_EQ(result2->diff.script.num_updates(), 1u);
 }
 
 }  // namespace

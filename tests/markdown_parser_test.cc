@@ -156,9 +156,9 @@ TEST(MarkdownDiffTest, CodeChangeIsSingleUpdate) {
   ASSERT_TRUE(t2.ok());
   auto diff = DiffTrees(*t1, *t2);
   ASSERT_TRUE(diff.ok());
-  EXPECT_EQ(diff->stats.updates, 1u);  // The whole block, as one unit.
-  EXPECT_EQ(diff->stats.inserts, 0u);
-  EXPECT_EQ(diff->stats.deletes, 0u);
+  EXPECT_EQ(diff->script.num_updates(), 1u);  // The whole block, as one unit.
+  EXPECT_EQ(diff->script.num_inserts(), 0u);
+  EXPECT_EQ(diff->script.num_deletes(), 0u);
 }
 
 TEST(MarkdownFuzzTest, SurvivesRandomInput) {

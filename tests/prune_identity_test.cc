@@ -262,9 +262,12 @@ TEST(ReuseMatchingTest, CarriedSettledListReproducesTheFreshRun) {
   // the reused run skips the same interiors as the fresh run. Across a
   // move-heavy sweep it must report the fresh run's settled list and emit a
   // byte-identical script — and so must a reuse without the list, which
-  // scans every node: the skip changes cost, never the script.
+  // scans every node: the skip changes cost, never the script. The hit also
+  // reports the fresh run's e and moves by kind, which the script cannot
+  // count itself.
   Vocabulary vocab(300, 1.0);
   size_t seeds_with_settled = 0;
+  size_t seeds_with_moves = 0;
   for (uint64_t seed = 1; seed <= 32; ++seed) {
     Rng rng(seed);
     DocGenParams params;
@@ -281,6 +284,7 @@ TEST(ReuseMatchingTest, CarriedSettledListReproducesTheFreshRun) {
     const std::string fresh_script =
         FormatEditScript(fresh->script, t1.labels());
     if (!fresh->settled.empty()) ++seeds_with_settled;
+    if (fresh->script.num_moves() > 0) ++seeds_with_moves;
 
     DiffOptions carried;
     carried.share_mode = ShareMode::kIndexed;
@@ -292,6 +296,13 @@ TEST(ReuseMatchingTest, CarriedSettledListReproducesTheFreshRun) {
     EXPECT_EQ(hit->settled, fresh->settled) << "seed " << seed;
     EXPECT_EQ(FormatEditScript(hit->script, t1.labels()), fresh_script)
         << "seed " << seed;
+    EXPECT_EQ(hit->report.weighted_edit_distance,
+              fresh->report.weighted_edit_distance)
+        << "seed " << seed;
+    EXPECT_EQ(hit->report.intra_parent_moves, fresh->report.intra_parent_moves)
+        << "seed " << seed;
+    EXPECT_EQ(hit->report.inter_parent_moves, fresh->report.inter_parent_moves)
+        << "seed " << seed;
 
     DiffOptions bare = carried;
     bare.reuse_settled = nullptr;
@@ -302,6 +313,7 @@ TEST(ReuseMatchingTest, CarriedSettledListReproducesTheFreshRun) {
         << "seed " << seed;
   }
   EXPECT_GT(seeds_with_settled, 16u);
+  EXPECT_GT(seeds_with_moves, 0u);
 }
 
 TEST(ReuseMatchingTest, SettledListIsReportedOnlyUnderIndexedSharing) {

@@ -150,8 +150,8 @@ TEST(XmlDiffTest, EndToEndDetectsChanges) {
   ASSERT_TRUE(diff->script.ApplyTo(&replay).ok());
   EXPECT_TRUE(Tree::Isomorphic(replay, *t2));
   // Reordered entries should be a move, the price change an update.
-  EXPECT_GE(diff->stats.moves, 1u);
-  EXPECT_GE(diff->stats.updates, 1u);
+  EXPECT_GE(diff->script.num_moves(), 1u);
+  EXPECT_GE(diff->script.num_updates(), 1u);
 }
 
 TEST(XmlDiffTest, MarkupAnnotatesStatus) {

@@ -18,14 +18,14 @@
 // input is never read, so a closed stdin does not stop the server.
 //
 // Usage: treediff_serve [--threads N] [--queue N] [--deadline SECONDS]
-//                        [--incremental on|off] [--store-dir DIR]
-//                        [--port N] [--metrics-port N] [--net-threads N]
-//                        [--drain SECONDS] [--no-stdin]
+//                        [--store-dir DIR] [--port N] [--metrics-port N]
+//                        [--net-threads N] [--drain SECONDS] [--no-stdin]
 //
-// --incremental (default on) turns on incremental serving: the share-map
-// pre-pass prunes unchanged subtrees out of every diff, repeated diffs of
-// the same document pair reuse the cached phase-1 matching, and adjacent
-// version diffs (kVdiff) are answered straight from the store's commit log.
+// The server always serves incrementally, under the one diff rule that
+// commits and the commit log use: the share-map pre-pass prunes unchanged
+// subtrees out of every diff, repeated diffs of the same document pair
+// reuse the cached phase-1 matching, and adjacent version diffs (kVdiff)
+// are answered straight from the store's commit log.
 //
 // --no-stdin is accepted and ignored, so existing command lines that pass
 // it keep working.
@@ -37,7 +37,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "net/server.h"
@@ -47,8 +46,8 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: treediff_serve [--threads N] [--queue N] [--deadline SECONDS] "
-    "[--incremental on|off] [--store-dir DIR] [--port N] "
-    "[--metrics-port N] [--net-threads N] [--drain SECONDS] [--no-stdin]\n";
+    "[--store-dir DIR] [--port N] [--metrics-port N] [--net-threads N] "
+    "[--drain SECONDS] [--no-stdin]\n";
 
 /// Strict base-10 integer in [lo, hi]. std::atoi silently maps garbage to
 /// 0, which would turn a typo into a plausible setting.
@@ -76,7 +75,7 @@ bool ParseSeconds(const char* text, double* out) {
 
 int main(int argc, char** argv) {
   treediff::DiffServiceOptions options;
-  options.incremental = true;  // The serving tool defaults to incremental.
+  options.incremental = true;
   treediff::net::NetServerOptions net;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -95,10 +94,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--store-dir") {
       ok = v != nullptr && *v != '\0';
       if (ok) net.store_dir = v;
-    } else if (arg == "--incremental") {
-      ok = v != nullptr &&
-           (std::strcmp(v, "on") == 0 || std::strcmp(v, "off") == 0);
-      options.incremental = ok && std::strcmp(v, "on") == 0;
     } else if (arg == "--port") {
       ok = ParseInt(v, 0, 65535, &n);
       net.port = static_cast<uint16_t>(n);
