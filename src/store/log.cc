@@ -29,16 +29,21 @@ uint32_t RecordCrc(LogFormat format, LogRecordType type, uint64_t epoch,
   return Crc32cExtend(crc, payload.data(), payload.size());
 }
 
+// The record header: length, masked checksum, type, and (format 2) epoch.
+std::string EncodeRecordHeader(LogFormat format, LogRecordType type,
+                               std::string_view payload, uint64_t epoch) {
+  std::string header;
+  header.reserve(LogRecordHeaderSize(format));
+  PutFixed32(&header, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&header, Crc32cMask(RecordCrc(format, type, epoch, payload)));
+  header.push_back(static_cast<char>(type));
+  if (format == LogFormat::kV2) PutEpoch(&header, epoch);
+  return header;
+}
+
 std::string EncodeRecord(LogFormat format, LogRecordType type,
                          std::string_view payload, uint64_t epoch) {
-  std::string out;
-  out.reserve(LogRecordHeaderSize(format) + payload.size());
-  PutFixed32(&out, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&out, Crc32cMask(RecordCrc(format, type, epoch, payload)));
-  out.push_back(static_cast<char>(type));
-  if (format == LogFormat::kV2) PutEpoch(&out, epoch);
-  out.append(payload);
-  return out;
+  return EncodeRecordHeader(format, type, payload, epoch).append(payload);
 }
 
 }  // namespace
@@ -47,12 +52,8 @@ Status LogWriter::AppendRecord(LogRecordType type, std::string_view payload) {
   if (payload.size() > kLogMaxRecordSize) {
     return Status::InvalidArgument("log record exceeds the 1 GiB cap");
   }
-  std::string header;
-  header.reserve(LogRecordHeaderSize(format_));
-  PutFixed32(&header, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&header, Crc32cMask(RecordCrc(format_, type, epoch_, payload)));
-  header.push_back(static_cast<char>(type));
-  if (format_ == LogFormat::kV2) PutEpoch(&header, epoch_);
+  const std::string header =
+      EncodeRecordHeader(format_, type, payload, epoch_);
   // One Append per buffer: the header+payload boundary is a fault point the
   // recovery test exercises, so keep the write pattern simple and ordered.
   TREEDIFF_RETURN_IF_ERROR(file_->Append(header));
@@ -61,37 +62,6 @@ Status LogWriter::AppendRecord(LogRecordType type, std::string_view payload) {
   return Status::Ok();
 }
 
-namespace {
-
-// True if the bytes at data[pos..] form a complete, checksum-valid record
-// in the given framing. Used both for the normal forward scan and as the
-// resync predicate when salvaging past corruption.
-bool ValidRecordAt(const std::string& data, uint64_t pos, LogFormat format) {
-  const size_t header_size = LogRecordHeaderSize(format);
-  if (pos + header_size > data.size()) return false;
-  uint32_t len = DecodeFixed32(data.data() + pos);
-  uint32_t stored_crc = DecodeFixed32(data.data() + pos + 4);
-  uint8_t type = static_cast<uint8_t>(data[pos + 8]);
-  if (len > kLogMaxRecordSize) return false;
-  const uint8_t max_type = format == LogFormat::kV1
-                               ? static_cast<uint8_t>(LogRecordType::kRollback)
-                               : static_cast<uint8_t>(LogRecordType::kEpoch);
-  if (type < static_cast<uint8_t>(LogRecordType::kSnapshot) ||
-      type > max_type) {
-    return false;
-  }
-  if (pos + header_size + len > data.size()) return false;
-  uint32_t crc = Crc32cExtend(0, &type, 1);
-  // In format 2 the epoch bytes sit between the type byte and the payload
-  // and are covered by the checksum, so a flipped epoch is caught exactly
-  // like a flipped payload byte.
-  crc = Crc32cExtend(crc, data.data() + pos + kLogRecordHeaderSize,
-                     header_size - kLogRecordHeaderSize + len);
-  return Crc32cMask(crc) == stored_crc;
-}
-
-}  // namespace
-
 std::string EncodeLogRecord(LogRecordType type, std::string_view payload) {
   return EncodeRecord(LogFormat::kV1, type, payload, 0);
 }
@@ -99,6 +69,51 @@ std::string EncodeLogRecord(LogRecordType type, std::string_view payload) {
 std::string EncodeLogRecordV2(LogRecordType type, std::string_view payload,
                               uint64_t epoch) {
   return EncodeRecord(LogFormat::kV2, type, payload, epoch);
+}
+
+std::optional<LogFormat> ConsumeLogMagic(std::string_view* bytes) {
+  if (bytes->size() < kLogMagicSize) return std::nullopt;
+  std::optional<LogFormat> format;
+  if (std::memcmp(bytes->data(), kLogMagic, kLogMagicSize) == 0) {
+    format = LogFormat::kV1;
+  } else if (std::memcmp(bytes->data(), kLogMagicV2, kLogMagicSize) == 0) {
+    format = LogFormat::kV2;
+  } else {
+    return std::nullopt;
+  }
+  bytes->remove_prefix(kLogMagicSize);
+  return format;
+}
+
+LogRecordView DecodeLogRecord(std::string_view bytes, LogFormat format) {
+  LogRecordView view;  // kTorn until proven otherwise.
+  const size_t header_size = LogRecordHeaderSize(format);
+  if (bytes.size() < header_size) return view;
+  const uint32_t len = DecodeFixed32(bytes.data());
+  if (len > kLogMaxRecordSize || bytes.size() - header_size < len) {
+    return view;
+  }
+  view.state = LogRecordState::kCorrupt;
+  const uint8_t type = static_cast<uint8_t>(bytes[8]);
+  const uint8_t max_type = format == LogFormat::kV1
+                               ? static_cast<uint8_t>(LogRecordType::kRollback)
+                               : static_cast<uint8_t>(LogRecordType::kEpoch);
+  if (type < static_cast<uint8_t>(LogRecordType::kSnapshot) ||
+      type > max_type) {
+    return view;
+  }
+  // The checksum covers [type, epoch?, payload], contiguous from the type
+  // byte: in format 2 a flipped epoch is caught like a flipped payload byte.
+  const uint32_t crc = Crc32c(bytes.data() + 8, header_size - 8 + len);
+  if (Crc32cMask(crc) != DecodeFixed32(bytes.data() + 4)) return view;
+  view.state = LogRecordState::kValid;
+  view.type = static_cast<LogRecordType>(type);
+  if (format == LogFormat::kV2) {
+    view.epoch = DecodeFixed32(bytes.data() + kLogRecordHeaderSize);
+  }
+  view.payload = bytes.substr(header_size, len);
+  view.size = header_size + len;
+  return view;
 }
 
 StatusOr<LogScanResult> ScanLog(RandomAccessFile* file,
@@ -118,18 +133,12 @@ StatusOr<LogScanResult> ScanLog(RandomAccessFile* file,
     // read, not a short file. Truncating on it would destroy good data.
     return Status::Unavailable("short read of log magic; retry the scan");
   }
-  if (magic->size() < kLogMagicSize) {
+  std::string_view head = *magic;
+  const std::optional<LogFormat> format = ConsumeLogMagic(&head);
+  if (!format) {
     return Status::ParseError("not a treediff commit log (bad magic)");
   }
-  if (std::memcmp(magic->data(), kLogMagic, kLogMagicSize) == 0) {
-    result.format = LogFormat::kV1;
-  } else if (std::memcmp(magic->data(), kLogMagicV2, kLogMagicSize) == 0) {
-    result.format = LogFormat::kV2;
-  } else {
-    return Status::ParseError("not a treediff commit log (bad magic)");
-  }
-  const LogFormat format = result.format;
-  const size_t header_size = LogRecordHeaderSize(format);
+  result.format = *format;
 
   // One sequential read of the whole file; logs are checkpoint-bounded and
   // recovery reads each byte exactly once.
@@ -139,37 +148,40 @@ StatusOr<LogScanResult> ScanLog(RandomAccessFile* file,
   if (data->size() < static_cast<size_t>(*size - kLogMagicSize)) {
     return Status::Unavailable("short read of log body; retry the scan");
   }
+  const std::string_view body = *data;
+  auto decode_at = [&](uint64_t pos) {
+    return DecodeLogRecord(body.substr(pos), *format);
+  };
 
+  // Every offset short of the end is tried: a few trailing bytes that never
+  // formed a full header decode as torn like any other partial record.
   uint64_t pos = 0;
   bool resynced_next = false;
-  bool stopped_early = false;
   result.durable_prefix = kLogMagicSize;
-  while (pos + header_size <= data->size()) {
-    if (!ValidRecordAt(*data, pos, format)) {
-      // Classify the way the conservative policy reports it: a partial
-      // record or implausible length reads as a torn tail; a complete
-      // record whose checksum does not match is a corruption event.
-      uint32_t len = DecodeFixed32(data->data() + pos);
-      const bool is_torn =
-          len > kLogMaxRecordSize || pos + header_size + len > data->size();
+  while (pos < body.size()) {
+    const LogRecordView record = decode_at(pos);
+    if (record.state != LogRecordState::kValid) {
+      // A partial record or implausible length reads as a torn tail; a
+      // complete record whose checksum does not match is a corruption
+      // event.
+      const bool is_torn = record.state == LogRecordState::kTorn;
       if (!options.salvage) {
         if (is_torn) {
           result.torn_tail = true;
         } else {
           result.checksum_failures = 1;
         }
-        stopped_early = true;
         break;
       }
       // Salvage: slide forward one byte at a time until something checks
       // out as a whole record again. Linear in the damaged span, and each
       // candidate is fully CRC-verified before being trusted.
       uint64_t next = pos + 1;
-      while (next + header_size <= data->size() &&
-             !ValidRecordAt(*data, next, format)) {
+      while (next < body.size() &&
+             decode_at(next).state != LogRecordState::kValid) {
         ++next;
       }
-      if (next + header_size > data->size()) {
+      if (next == body.size()) {
         // Damage runs to end of file: tail damage after all, disposed of
         // by truncation rather than a salvage gap.
         if (is_torn) {
@@ -177,7 +189,6 @@ StatusOr<LogScanResult> ScanLog(RandomAccessFile* file,
         } else {
           ++result.checksum_failures;
         }
-        stopped_early = true;
         break;
       }
       ++result.checksum_failures;
@@ -186,24 +197,16 @@ StatusOr<LogScanResult> ScanLog(RandomAccessFile* file,
       resynced_next = true;
       continue;
     }
-    uint32_t len = DecodeFixed32(data->data() + pos);
-    LogScanRecord record;
-    record.type = static_cast<LogRecordType>((*data)[pos + 8]);
-    if (format == LogFormat::kV2) {
-      record.epoch = DecodeFixed32(data->data() + pos + kLogRecordHeaderSize);
-    }
-    record.payload.assign(data->data() + pos + header_size, len);
-    record.offset = kLogMagicSize + pos;
-    record.resynced = resynced_next;
+    LogScanRecord scanned;
+    scanned.type = record.type;
+    scanned.epoch = record.epoch;
+    scanned.payload.assign(record.payload);
+    scanned.offset = kLogMagicSize + pos;
+    scanned.resynced = resynced_next;
     resynced_next = false;
-    result.records.push_back(std::move(record));
-    pos += header_size + len;
+    result.records.push_back(std::move(scanned));
+    pos += record.size;
     result.durable_prefix = kLogMagicSize + pos;
-  }
-  if (!stopped_early && !result.torn_tail &&
-      result.durable_prefix < result.file_size) {
-    // A few trailing header bytes that never formed a full header.
-    result.torn_tail = true;
   }
   return result;
 }

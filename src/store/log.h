@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,7 +81,7 @@ class LogWriter {
   /// file size (records land at and beyond it). `format` must match the
   /// magic already at the head of the file.
   LogWriter(std::unique_ptr<WritableFile> file, uint64_t offset,
-            LogFormat format = LogFormat::kV1, uint64_t epoch = 0)
+            LogFormat format, uint64_t epoch = 0)
       : file_(std::move(file)),
         offset_(offset),
         format_(format),
@@ -113,13 +114,42 @@ class LogWriter {
 };
 
 /// Formats one format-1 record (header + payload) in the exact wire format
-/// a v1 LogWriter writes. Log rotation uses it to build a full replacement
-/// log image in memory before publishing it atomically.
+/// a v1 LogWriter writes.
 std::string EncodeLogRecord(LogRecordType type, std::string_view payload);
 
-/// Formats one format-2 record with an explicit epoch stamp.
+/// Formats one format-2 record with an explicit epoch stamp. Log rotation
+/// uses it to build a full replacement log image in memory before
+/// publishing it atomically.
 std::string EncodeLogRecordV2(LogRecordType type, std::string_view payload,
                               uint64_t epoch);
+
+/// Strips the file magic off the front of `*bytes` and returns the framing
+/// it selects; nullopt (and `*bytes` untouched) when `*bytes` does not
+/// start with either magic.
+std::optional<LogFormat> ConsumeLogMagic(std::string_view* bytes);
+
+/// How a record decodes (DecodeLogRecord).
+enum class LogRecordState : uint8_t {
+  kValid,    // Complete, plausible type, checksum matches.
+  kTorn,     // Header or payload runs past the bytes, or the length field
+             // exceeds kLogMaxRecordSize.
+  kCorrupt,  // Complete, but the type is unknown or the checksum fails.
+};
+
+/// One record decoded in place; `payload` points into the decoded bytes.
+struct LogRecordView {
+  LogRecordState state = LogRecordState::kTorn;
+  LogRecordType type = LogRecordType::kSnapshot;
+  uint64_t epoch = 0;  // Always 0 in format-1 logs.
+  std::string_view payload;
+  size_t size = 0;  // Header + payload bytes.
+};
+
+/// Decodes the record at the front of `bytes` in `format`. This is the one
+/// reader of the framing: ScanLog's forward scan and salvage resync, and
+/// the replication batch check, all call it. Only a kValid result carries
+/// type, epoch, payload and size.
+LogRecordView DecodeLogRecord(std::string_view bytes, LogFormat format);
 
 /// One record surfaced by ScanLog.
 struct LogScanRecord {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -17,10 +16,11 @@ namespace treediff {
 namespace {
 
 /// Verification of one shipped byte range before it touches a follower's
-/// log. The batch is parsed with the same framing rules recovery uses: a
-/// follower never appends a byte it has not independently checksummed, so a
-/// primary-side read error (or a rotation racing the copy) is caught here
-/// instead of being replayed into every downstream open.
+/// log. Every record is decoded by recovery's own decoder (DecodeLogRecord
+/// in store/log.h): a follower never appends a byte it has not
+/// independently checksummed, so a primary-side read error (or a rotation
+/// racing the copy) is caught here instead of being replayed into every
+/// downstream open. What remains here is the fence and epoch bookkeeping.
 struct BatchCheck {
   bool valid = false;          // Framing and every CRC verified.
   bool stale = false;          // Some record violates the epoch fence.
@@ -33,42 +33,19 @@ BatchCheck CheckBatch(std::string_view batch, uint64_t base_offset,
                       LogFormat format, uint64_t fence_epoch,
                       uint64_t fence_cursor) {
   BatchCheck out;
-  size_t pos = 0;
-  if (base_offset == 0) {
-    const char* magic = format == LogFormat::kV1 ? kLogMagic : kLogMagicV2;
-    if (batch.size() < kLogMagicSize ||
-        std::memcmp(batch.data(), magic, kLogMagicSize) != 0) {
-      return out;
-    }
-    pos = kLogMagicSize;
-  }
-  const size_t header = LogRecordHeaderSize(format);
-  const uint8_t max_type = format == LogFormat::kV1
-                               ? static_cast<uint8_t>(LogRecordType::kRollback)
-                               : static_cast<uint8_t>(LogRecordType::kEpoch);
-  while (pos < batch.size()) {
-    if (batch.size() - pos < header) return out;
-    const char* p = batch.data() + pos;
-    const uint32_t len = DecodeFixed32(p);
-    if (len > kLogMaxRecordSize || batch.size() - pos - header < len) {
-      return out;
-    }
-    const uint8_t type = static_cast<uint8_t>(p[8]);
-    if (type < 1 || type > max_type) return out;
-    // The CRC covers [type, epoch?, payload] — contiguous from the type
-    // byte through the end of the payload.
-    const uint32_t stored = Crc32cUnmask(DecodeFixed32(p + 4));
-    if (Crc32c(p + 8, header - 8 + len) != stored) return out;
-    const uint64_t epoch =
-        format == LogFormat::kV2 ? DecodeFixed32(p + kLogRecordHeaderSize) : 0;
-    const uint64_t abs = base_offset + pos;
-    if (epoch < fence_epoch && abs >= fence_cursor) out.stale = true;
-    if (epoch > out.top_epoch) {
-      out.top_epoch = epoch;
+  std::string_view rest = batch;
+  if (base_offset == 0 && ConsumeLogMagic(&rest) != format) return out;
+  while (!rest.empty()) {
+    const LogRecordView record = DecodeLogRecord(rest, format);
+    if (record.state != LogRecordState::kValid) return out;
+    const uint64_t abs = base_offset + (batch.size() - rest.size());
+    if (record.epoch < fence_epoch && abs >= fence_cursor) out.stale = true;
+    if (record.epoch > out.top_epoch) {
+      out.top_epoch = record.epoch;
       out.top_epoch_offset = abs;
     }
     ++out.records;
-    pos += header + len;
+    rest.remove_prefix(record.size);
   }
   out.valid = true;
   return out;
@@ -114,30 +91,15 @@ struct LogProbe {
   std::string base;          // Codec bytes of version 0.
 };
 
-/// Scans the log of `replica` the way VersionStore::Open would, but only
-/// reads it. kNotFound when there is no log, kDataLoss when it holds no
-/// usable base snapshot (nothing to recover from it).
+/// Scans the log of `replica` with VersionStore::Open's own first step
+/// (ScanStoreLog), which only reads it. kNotFound when there is no log,
+/// kDataLoss when it holds no usable base snapshot (nothing to recover
+/// from it).
 StatusOr<LogProbe> ProbeLog(const ReplicaConfig& replica,
-                            const StoreOptions& store_options) {
-  auto file = replica.env->NewRandomAccessFile(replica.path);
-  if (!file.ok()) return file.status();
-  LogScanOptions scan_options;
-  scan_options.salvage = store_options.recovery == RecoveryMode::kSalvage;
-  StatusOr<LogScanResult> scan = Status::Internal("scan never ran");
-  Retryer retryer(store_options.retry, store_options.sleep);
-  Status scanned = retryer.Run([&]() {
-    scan = ScanLog(file->get(), scan_options);
-    return scan.status();
-  });
-  if (scanned.code() == Code::kParseError) {
-    return Status::DataLoss("not a store log: " + replica.path);
-  }
-  TREEDIFF_RETURN_IF_ERROR(scanned);
-  if (scan->records.empty() ||
-      scan->records[0].type != LogRecordType::kSnapshot ||
-      scan->records[0].resynced) {
-    return Status::DataLoss("no base snapshot in " + replica.path);
-  }
+                            StoreOptions store_options) {
+  store_options.env = replica.env;
+  StatusOr<LogScanResult> scan = ScanStoreLog(replica.path, store_options);
+  if (!scan.ok()) return scan.status();
   LogProbe probe;
   probe.valid_bytes = scan->durable_prefix;
   probe.base = std::move(scan->records[0].payload);
@@ -570,57 +532,35 @@ Status ReplicatedVersionStore::AppendBatchLocked(ReplicaState* state,
   Env* env = state->config.env;
   const std::string& path = state->config.path;
   Retryer retryer(options_.store_options.retry, options_.store_options.sleep);
-  const int attempts = std::max(1, options_.store_options.retry.max_attempts);
-  Status last;
-  for (int k = 0; k < attempts; ++k) {
-    if (k > 0) {
-      const double backoff = retryer.BackoffSeconds(k);
-      if (options_.store_options.sleep) {
-        options_.store_options.sleep(backoff);
-      } else {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      }
-    }
+  return retryer.Run([&]() REQUIRES(state->mu) {
     // Repair a torn local tail first: a failed append may have persisted a
     // prefix of the batch, and appending after garbage corrupts everything
     // downstream of it. Truncating back to the cursor restores the
     // last-known-good state.
     if (state->dirty) {
-      last = env->TruncateFile(path, state->cursor);
-      if (!last.ok()) {
-        if (IsTransientError(last)) continue;
-        return last;
-      }
+      TREEDIFF_RETURN_IF_ERROR(env->TruncateFile(path, state->cursor));
       state->dirty = false;
     }
     if (!state->out) {
       auto out = env->NewWritableFile(path, /*truncate=*/state->cursor == 0);
-      if (!out.ok()) {
-        last = out.status();
-        if (IsTransientError(last)) continue;
-        return last;
-      }
+      if (!out.ok()) return out.status();
       state->out = std::move(*out);
     }
-    last = state->out->Append(batch);
-    if (!last.ok()) {
+    Status st = state->out->Append(batch);
+    if (!st.ok()) {
       state->dirty = true;  // A prefix may have landed (torn append).
-      if (IsTransientError(last)) continue;
-      return last;
+      return st;
     }
-    last = state->out->Sync();
-    if (!last.ok()) {
+    st = state->out->Sync();
+    if (!st.ok()) {
       // Never re-issue an fsync over the same bytes and trust the second
       // OK (the fsyncgate lesson, same as the store's rotation policy):
       // discard the suspect suffix and rewrite it through a fresh handle.
       state->dirty = true;
       state->out.reset();
-      if (IsTransientError(last)) continue;
-      return last;
     }
-    return Status::Ok();
-  }
-  return last;
+    return st;
+  });
 }
 
 StatusOr<Tree> ReplicatedVersionStore::Materialize(int v) {

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "core/script_io.h"
@@ -152,39 +150,26 @@ Status VersionStore::AppendDurable(LogRecordType type,
   // in-memory state (which the failed record is not yet part of) is written
   // to a fresh log and atomically swapped in, so the retry appends to a
   // tail whose every byte is known good.
-  Retryer backoff(store_options_.retry, store_options_.sleep);
-  const int max_attempts = std::max(store_options_.retry.max_attempts, 1);
   bool need_rotation = false;
-  Status last;
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+  Retryer retryer(store_options_.retry, store_options_.sleep);
+  const Status appended = retryer.Run([&]() REQUIRES(mu_) {
     if (need_rotation) {
-      last = RotateLocked();
-      if (last.ok()) {
-        need_rotation = false;
-        last = AppendOnce(type, payload);
-      }
-    } else {
-      last = AppendOnce(type, payload);
+      TREEDIFF_RETURN_IF_ERROR(RotateLocked());
+      need_rotation = false;
     }
-    if (last.ok()) return last;
-    if (!IsTransientError(last)) break;
-    need_rotation = true;
-    if (attempt < max_attempts) {
-      ++faults_.transient_retries;
-      BumpCounter("store_retries_total", 1);
-      const double seconds = backoff.BackoffSeconds(attempt);
-      if (store_options_.sleep) {
-        store_options_.sleep(seconds);
-      } else if (seconds > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-      }
-    }
+    Status st = AppendOnce(type, payload);
+    need_rotation = !st.ok();
+    return st;
+  });
+  if (retryer.total_retries() > 0) {
+    faults_.transient_retries += retryer.total_retries();
+    BumpCounter("store_retries_total", retryer.total_retries());
   }
-  // The log tail is now in an unknown state; poison the store so no
+  // On failure the log tail is in an unknown state; poison the store so no
   // further mutation can commit on top of it. Reads stay available, and
   // Repair() or reopening restores service.
-  io_status_ = last;
-  return last;
+  if (!appended.ok()) io_status_ = appended;
+  return appended;
 }
 
 void VersionStore::MaybeCheckpoint() {
@@ -437,7 +422,7 @@ std::string VersionStore::EncodeStateLocked() const {
   return out;
 }
 
-Status VersionStore::RotateLocked() {
+Status VersionStore::PublishLocked(bool quarantine_old) {
   // 1. Build the replacement under a tmp name and make it durable.
   const std::string tmp = path_ + ".tmp";
   const std::string bytes = EncodeStateLocked();
@@ -451,7 +436,7 @@ Status VersionStore::RotateLocked() {
   // renaming it away, which would leave a moment with no store at `path`.
   // Best-effort: keeping the forensic copy is worth less than restoring
   // service, so a copy failure does not abort the rotation.
-  if (env_->FileExists(path_)) {
+  if (quarantine_old && env_->FileExists(path_)) {
     std::string quarantine;
     for (int n = 1;; ++n) {
       quarantine = path_ + "." + std::to_string(n);
@@ -487,6 +472,11 @@ Status VersionStore::RotateLocked() {
   // Replay cost of the fresh log equals the last segment's delta count.
   commits_since_checkpoint_ =
       static_cast<int>(segments_.back().scripts.size());
+  return Status::Ok();
+}
+
+Status VersionStore::RotateLocked() {
+  TREEDIFF_RETURN_IF_ERROR(PublishLocked(/*quarantine_old=*/true));
   io_status_ = Status::Ok();  // The new log is trustworthy end to end.
   ++faults_.rotations;
   BumpCounter("store_rotations_total", 1);
@@ -609,52 +599,23 @@ StatusOr<VersionStore> VersionStore::Create(const std::string& path, Tree base,
   if (env->FileExists(path)) {
     return Status::FailedPrecondition("store already exists: " + path);
   }
-  // Build the initial log under a tmp name, sync it, then atomically rename
-  // into place: a crash anywhere before the rename leaves no (possibly
-  // half-written) store at `path`.
-  const std::string tmp = path + ".tmp";
-  auto file = env->NewWritableFile(tmp, /*truncate=*/true);
-  if (!file.ok()) return file.status();
-  TREEDIFF_RETURN_IF_ERROR(
-      (*file)->Append(std::string_view(kLogMagicV2, kLogMagicSize)));
-  LogWriter bootstrap(std::move(*file), kLogMagicSize, LogFormat::kV2);
-  TREEDIFF_RETURN_IF_ERROR(
-      bootstrap.AppendRecord(LogRecordType::kSnapshot, EncodeTree(base)));
-  TREEDIFF_RETURN_IF_ERROR(bootstrap.Sync());
-  TREEDIFF_RETURN_IF_ERROR(bootstrap.Close());
-  TREEDIFF_RETURN_IF_ERROR(env->RenameFile(tmp, path));
-
-  auto append = env->NewWritableFile(path, /*truncate=*/false);
-  if (!append.ok()) return append.status();
-
-  VersionStore store;
-  store.base_ = base.Clone();
-  store.options_ = options;
+  VersionStore store(std::move(base), options);
   store.durable_ = true;
-  store.writer_ = std::make_unique<LogWriter>(
-      std::move(*append), bootstrap.offset(), LogFormat::kV2);
   store.env_ = env;
   store.path_ = path;
-  store.store_options_ = store_options;
+  store.store_options_ = std::move(store_options);
   {
     MutexLock lock(&store.mu_);  // Satisfies the analysis; no contention yet.
-    store.head_ = std::move(base);
-    Segment seg;
-    seg.first = 0;
-    seg.anchor = store.base_.Clone();
-    seg.anchor_full_size = store.base_.DebugStringSize();
-    store.segments_.push_back(std::move(seg));
+    // The rotation's publish step: a crash anywhere before its rename
+    // leaves no (possibly half-written) store at `path`.
+    TREEDIFF_RETURN_IF_ERROR(store.PublishLocked(/*quarantine_old=*/false));
   }
   return store;
 }
 
-StatusOr<VersionStore> VersionStore::Open(const std::string& path,
-                                          DiffOptions options,
-                                          StoreOptions store_options,
-                                          RecoveryReport* report) {
+StatusOr<LogScanResult> ScanStoreLog(const std::string& path,
+                                     const StoreOptions& store_options) {
   Env* env = store_options.env ? store_options.env : Env::Default();
-  const bool salvage = store_options.recovery == RecoveryMode::kSalvage;
-
   auto file = env->NewRandomAccessFile(path);
   if (!file.ok()) return file.status();  // NotFound / InvalidArgument(dir).
   {
@@ -668,7 +629,7 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
   // Scan with a retry budget: a transient short read must not be mistaken
   // for a torn tail (ScanLog fails such reads with kUnavailable).
   LogScanOptions scan_options;
-  scan_options.salvage = salvage;
+  scan_options.salvage = store_options.recovery == RecoveryMode::kSalvage;
   StatusOr<LogScanResult> scan = Status::Internal("scan never ran");
   Retryer retryer(store_options.retry, store_options.sleep);
   Status scanned = retryer.Run([&]() {
@@ -683,7 +644,6 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
     }
     return scanned;
   }
-
   if (scan->records.empty() ||
       scan->records[0].type != LogRecordType::kSnapshot ||
       scan->records[0].resynced) {
@@ -691,6 +651,18 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
         "unrecoverable store: the base snapshot record is missing or "
         "corrupt: " + path);
   }
+  return scan;
+}
+
+StatusOr<VersionStore> VersionStore::Open(const std::string& path,
+                                          DiffOptions options,
+                                          StoreOptions store_options,
+                                          RecoveryReport* report) {
+  Env* env = store_options.env ? store_options.env : Env::Default();
+  const bool salvage = store_options.recovery == RecoveryMode::kSalvage;
+  StatusOr<LogScanResult> scan = ScanStoreLog(path, store_options);
+  if (!scan.ok()) return scan.status();
+
   std::shared_ptr<LabelTable> labels =
       store_options.labels ? store_options.labels
                            : std::make_shared<LabelTable>();
@@ -738,15 +710,20 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
     return r.offset + header_size + r.payload.size();
   };
 
-  for (size_t i = 1; i < scan->records.size() && !invalid_record; ++i) {
+  for (size_t i = 1; i < scan->records.size(); ++i) {
     const LogScanRecord& record = scan->records[i];
     if (record.resynced) in_hole = true;  // A damaged range precedes it.
     std::string_view payload = record.payload;
     bool used = true;
-    // Skips this record; under salvage with `break_chain` the versions the
-    // rest of the log describes can no longer be derived, so replay stays
-    // in the hole until a checkpoint re-anchors it.
-    auto skip = [&](bool break_chain) {
+    // Rejects this record. Without salvage that ends the accepted prefix.
+    // Under salvage the record is skipped, and with `break_chain` the
+    // versions the rest of the log describes can no longer be derived, so
+    // replay stays in the hole until a checkpoint re-anchors it.
+    auto reject = [&](bool break_chain) {
+      if (!salvage) {
+        invalid_record = true;
+        return;
+      }
       used = false;
       ++records_skipped;
       payload_holes.push_back({record.offset, record_end(record)});
@@ -757,7 +734,7 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
         if (in_hole) {
           // Deltas carry no version number; after a gap there is no way to
           // know which version this one produces.
-          skip(true);
+          reject(true);
           break;
         }
         uint64_t nodes = 0, full_size = 0;
@@ -767,11 +744,7 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
           script = ParseEditScript(payload, labels.get());
         }
         if (!script.ok()) {
-          if (!salvage) {
-            invalid_record = true;
-          } else {
-            skip(true);
-          }
+          reject(true);
           break;
         }
         VersionInfo info;
@@ -790,11 +763,7 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
       case LogRecordType::kCheckpoint: {
         uint64_t version64 = 0;
         if (!GetVarint64(&payload, &version64)) {
-          if (!salvage) {
-            invalid_record = true;
-          } else {
-            skip(true);
-          }
+          reject(true);
           break;
         }
         const int version = static_cast<int>(version64);
@@ -812,11 +781,7 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
           // full tree), so the chain resumes here.
           StatusOr<Tree> anchor = DecodeTree(payload, labels);
           if (!anchor.ok()) {
-            if (!salvage) {
-              invalid_record = true;
-            } else {
-              skip(true);
-            }
+            reject(true);
             break;
           }
           Segment& last = segments.back();
@@ -848,27 +813,19 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
         }
         // A checkpoint of an older version (stale after rollbacks, or
         // scrambled): useless but harmless — the chain is unaffected.
-        if (!salvage) {
-          invalid_record = true;
-        } else {
-          skip(false);
-        }
+        reject(false);
         break;
       }
       case LogRecordType::kRollback: {
         if (in_hole) {
-          skip(true);
+          reject(true);
           break;
         }
         uint64_t dropped = 0;
         Segment& last = segments.back();
         if (!GetVarint64(&payload, &dropped) || last.scripts.empty() ||
             static_cast<int>(dropped) != head_version()) {
-          if (!salvage) {
-            invalid_record = true;
-          } else {
-            skip(true);
-          }
+          reject(true);
           break;
         }
         last.scripts.pop_back();
@@ -887,31 +844,15 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
         // epoch high-water mark, never the version chain.
         uint64_t announced = 0;
         if (!GetVarint64(&payload, &announced)) {
-          if (!salvage) {
-            invalid_record = true;
-          } else {
-            skip(false);
-          }
+          reject(false);
           break;
         }
         epoch_seen = std::max(epoch_seen, announced);
         break;
       }
-      case LogRecordType::kSnapshot:
-        // Only the first record may be a snapshot.
-        if (!salvage) {
-          invalid_record = true;
-        } else {
-          skip(true);
-        }
-        break;
-      default:
-        // Unknown type from a future version.
-        if (!salvage) {
-          invalid_record = true;
-        } else {
-          skip(true);
-        }
+      case LogRecordType::kSnapshot:  // Only the first record may be one.
+      default:                        // Or a type from a future version.
+        reject(true);
         break;
     }
     if (invalid_record) break;
@@ -922,10 +863,6 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
       ++accepted_records;
       epoch_seen = std::max(epoch_seen, record.epoch);
     }
-  }
-  if (invalid_record) {
-    // accepted_end already marks the end of the last good record; the
-    // scan-level prefix extends further and is rejected wholesale.
   }
 
   // Rebuild the head: the last segment's anchor (or the newest surviving
@@ -998,25 +935,10 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
     // from the recovered state (re-anchoring checkpoints bridge the holes)
     // and quarantine the damaged original — crash-safe because `path` is
     // swapped atomically and the old log stays salvageable until then.
-    // Retried inline (not via Retryer) so the analysis sees the lock held
-    // across RotateLocked.
     MutexLock lock(&store.mu_);
-    Retryer rotate_backoff(store_options.retry, store_options.sleep);
-    const int max_attempts = std::max(store_options.retry.max_attempts, 1);
-    Status st;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      st = store.RotateLocked();
-      if (st.ok() || !IsTransientError(st)) break;
-      if (attempt < max_attempts) {
-        const double seconds = rotate_backoff.BackoffSeconds(attempt);
-        if (store_options.sleep) {
-          store_options.sleep(seconds);
-        } else if (seconds > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-        }
-      }
-    }
-    TREEDIFF_RETURN_IF_ERROR(st);
+    Retryer retryer(store_options.retry, store_options.sleep);
+    TREEDIFF_RETURN_IF_ERROR(retryer.Run(
+        [&]() REQUIRES(store.mu_) { return store.RotateLocked(); }));
     rotated = true;
   } else {
     // Tail-only damage (or none): physically drop the rejected tail so the

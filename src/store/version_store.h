@@ -118,6 +118,16 @@ struct ScrubReport {
   bool repaired = false;  // A rotation rewrote the log from memory.
 };
 
+/// The first step of VersionStore::Open, and only a read: opens the log at
+/// `path` on `store_options.env`, scans it under `store_options.retry`
+/// (salvaging when `store_options.recovery` says so), and checks that its
+/// first record is a base snapshot. kDataLoss for a zero-length file, a bad
+/// magic, or a missing or resynced base snapshot; the Env's status (e.g.
+/// kNotFound) when the file cannot be opened. Replication's restart
+/// recovery probes every replica log with it.
+StatusOr<LogScanResult> ScanStoreLog(const std::string& path,
+                                     const StoreOptions& store_options);
+
 /// A delta-compressed version store for hierarchical data — the version and
 /// configuration management application of the paper's introduction
 /// ([HKG+94], and the C3 project of [WU95] that Section 9 points to).
@@ -427,9 +437,14 @@ class VersionStore {
   /// and its deltas).
   std::string EncodeStateLocked() const REQUIRES(mu_);
 
-  /// Rotation: writes EncodeStateLocked() to `path.tmp`, moves the current
-  /// log aside to `path.N`, and atomically renames the new log into place.
-  /// On success the store appends to the fresh log and is not poisoned.
+  /// The one way a whole log is published: writes EncodeStateLocked() to
+  /// `path.tmp` and syncs it, copies the current log to `path.N` when
+  /// `quarantine_old`, atomically renames the new log into place, and
+  /// appends to it from then on. Create publishes a fresh store with it.
+  Status PublishLocked(bool quarantine_old) REQUIRES(mu_);
+
+  /// Rotation: PublishLocked with the old log quarantined. On success the
+  /// store is not poisoned, and the rotation counters advance.
   Status RotateLocked() REQUIRES(mu_);
 
   void BumpCounter(const char* name, uint64_t n) const REQUIRES(mu_);

@@ -485,6 +485,41 @@ TEST(ReplicationTest, PrimaryLogRewriteForcesFollowerResync) {
   ExpectAllVersionsServed(c.group.get(), 4);
 }
 
+TEST(ReplicationTest, CorruptUnshippedRecordIsNeverShipped) {
+  Cluster c;
+  ASSERT_TRUE(c.Build().ok());
+  for (int v = 1; v <= 2; ++v) ASSERT_TRUE(c.Commit(v).ok());
+  ASSERT_TRUE(c.PumpUntilCaughtUp());
+  const std::string follower1 = c.Bytes(1);
+  const std::string follower2 = c.Bytes(2);
+
+  // Version 3 lands past the followers' cursor; rot one payload byte of
+  // its record on the primary's medium before it ships.
+  const uint64_t cursor = c.group->primary()->DurableOffset();
+  ASSERT_TRUE(c.Commit(3).ok());
+  ASSERT_TRUE(
+      c.mem[0].CorruptByte(c.configs[0].path,
+                           cursor + kLogRecordHeaderSizeV2 + 2, 0x40)
+          .ok());
+
+  // The batch check rejects the bytes, and no follower appends them.
+  const Status pumped = c.group->PumpFollowers();
+  EXPECT_EQ(pumped.code(), Code::kUnavailable) << pumped.ToString();
+  EXPECT_NE(pumped.message().find("failed CRC verification"),
+            std::string::npos)
+      << pumped.ToString();
+  EXPECT_EQ(c.Bytes(1), follower1);
+  EXPECT_EQ(c.Bytes(2), follower2);
+
+  // The primary's scrub rewrites its log from memory; the followers
+  // resync from the rewrite and the group converges.
+  ASSERT_TRUE(c.group->Scrub().ok());
+  ASSERT_TRUE(c.PumpUntilCaughtUp());
+  EXPECT_EQ(c.Bytes(1), c.Bytes(0));
+  EXPECT_EQ(c.Bytes(2), c.Bytes(0));
+  ExpectAllVersionsServed(c.group.get(), 3);
+}
+
 TEST(ReplicationTest, TornFollowerTailsHealByTruncateAndRetry) {
   Cluster c;
   FaultPlan flaky;

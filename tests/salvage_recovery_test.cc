@@ -618,5 +618,18 @@ TEST(GoldenLogTest, FrozenV2LogRecoversExactly) {
   EXPECT_EQ(*after, *bytes);
 }
 
+TEST(GoldenLogTest, WriterReproducesTheFrozenV2Log) {
+  // The writer side of the freeze: Create plus four commits at the
+  // fixture's checkpoint interval must lay down the fixture byte for byte
+  // (tools/make_golden_log wrote it the same way).
+  auto bytes = ReadHexFixture("golden_v2_log.hex");
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  MemEnv env;
+  BuildStore(&env, "golden.log", 5, /*checkpoint_interval=*/2);
+  auto written = env.FileBytes("golden.log");
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(*written, *bytes);
+}
+
 }  // namespace
 }  // namespace treediff

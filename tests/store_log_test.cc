@@ -18,7 +18,7 @@ void WriteLog(MemEnv* env, const std::string& path,
   auto file = env->NewWritableFile(path, true);
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE((*file)->Append(std::string(kLogMagic, kLogMagicSize)).ok());
-  LogWriter writer(std::move(*file), kLogMagicSize);
+  LogWriter writer(std::move(*file), kLogMagicSize, LogFormat::kV1);
   for (const auto& [type, payload] : recs) {
     ASSERT_TRUE(writer.AppendRecord(type, payload).ok());
   }
@@ -206,7 +206,7 @@ TEST(LogTest, WriterRefusesOversizedRecord) {
   MemEnv env;
   auto file = env.NewWritableFile("log", true);
   ASSERT_TRUE(file.ok());
-  LogWriter writer(std::move(*file), 0);
+  LogWriter writer(std::move(*file), 0, LogFormat::kV1);
   // Don't allocate 1 GiB: a string_view with a huge claimed size is enough
   // to exercise the size check, which fires before any dereference.
   std::string_view huge("x", 1);
