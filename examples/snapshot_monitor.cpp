@@ -114,7 +114,7 @@ int main() {
     if (diff->report.degraded) {
       std::printf("    (budget degraded the diff to the %s rung: %s)\n",
                   DiffRungName(diff->report.rung),
-                  diff->report.exhaustion_detail.c_str());
+                  budget.exhaustion_detail().c_str());
     }
     for (const RuleFiring& f : firings) {
       std::printf("    [%s] %s\n", f.rule->name.c_str(), f.hit.path.c_str());

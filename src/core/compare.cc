@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "lcs/lcs.h"
 #include "tree/tree_index.h"
 #include "util/tokenize.h"
 
@@ -24,11 +23,7 @@ double ExactComparator::CompareImpl(const Tree& t1, NodeId x, const Tree& t2,
 const WordLcsComparator::TokenEntry& WordLcsComparator::Tokens(
     const Tree& t, NodeId x, uint64_t value_hash) const {
   auto it = token_cache_.find(value_hash);
-  if (it != token_cache_.end()) {
-    ++stats_.tokenize_hits;
-    return it->second;
-  }
-  ++stats_.tokenize_misses;
+  if (it != token_cache_.end()) return it->second;
   TokenEntry entry;
   for (std::string& word : SplitWords(t.value(x), normalize_words_)) {
     auto [w, inserted] = word_ids_.try_emplace(
@@ -115,14 +110,6 @@ double WordLcsComparator::CompareImpl(const Tree& t1, NodeId x, const Tree& t2,
   const double d = WordLcsDistanceOnTokens(a.ids.size(), b.ids.size(), common);
   pair_cache_.emplace(pair, d);
   return d;
-}
-
-double WordLcsDistance(const std::string& a, const std::string& b,
-                       bool normalize_words) {
-  if (a == b) return 0.0;
-  const std::vector<std::string> ta = SplitWords(a, normalize_words);
-  const std::vector<std::string> tb = SplitWords(b, normalize_words);
-  return WordLcsDistanceOnTokens(ta.size(), tb.size(), LcsLength(ta, tb));
 }
 
 }  // namespace treediff

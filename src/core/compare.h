@@ -23,13 +23,6 @@ namespace treediff {
 /// uncached invocations are indistinguishable to the counter.
 class ValueComparator {
  public:
-  /// Hit/miss statistics of the comparator's tokenization memo (zeros for
-  /// comparators that do not tokenize). Surfaced in DiffResult::report.
-  struct CacheStats {
-    size_t tokenize_hits = 0;
-    size_t tokenize_misses = 0;
-  };
-
   virtual ~ValueComparator() = default;
 
   /// Returns the distance in [0, 2] between v(x) in `t1` and v(y) in `t2`.
@@ -41,8 +34,6 @@ class ValueComparator {
   /// Number of Compare invocations since construction or ResetCalls.
   size_t calls() const { return calls_; }
   void ResetCalls() { calls_ = 0; }
-
-  virtual CacheStats cache_stats() const { return {}; }
 
  protected:
   virtual double CompareImpl(const Tree& t1, NodeId x, const Tree& t2,
@@ -96,17 +87,6 @@ class WordLcsComparator : public ValueComparator {
   explicit WordLcsComparator(bool normalize_words = false)
       : normalize_words_(normalize_words) {}
 
-  /// Drops all memoized state (tokenizations, pair distances, the word
-  /// interning table) and zeroes the cache counters.
-  void ClearCache() const {
-    token_cache_.clear();
-    pair_cache_.clear();
-    word_ids_.clear();
-    stats_ = {};
-  }
-
-  CacheStats cache_stats() const override { return stats_; }
-
  protected:
   double CompareImpl(const Tree& t1, NodeId x, const Tree& t2,
                      NodeId y) const override;
@@ -128,14 +108,7 @@ class WordLcsComparator : public ValueComparator {
   mutable std::unordered_map<uint64_t, TokenEntry> token_cache_;
   mutable std::unordered_map<uint64_t, double> pair_cache_;
   mutable std::unordered_map<std::string, int32_t> word_ids_;
-  mutable CacheStats stats_;
 };
-
-/// Compares two raw strings with the word-LCS metric (the same arithmetic as
-/// WordLcsComparator, without trees or caching). Exposed for tests and for
-/// the document mark-up layer.
-double WordLcsDistance(const std::string& a, const std::string& b,
-                       bool normalize_words = false);
 
 }  // namespace treediff
 

@@ -31,21 +31,6 @@ void Walk(const DeltaTree& delta, const LabelTable& labels, int index,
 
 }  // namespace
 
-std::vector<DeltaHit> SelectChanges(const DeltaTree& delta,
-                                    const LabelTable& labels,
-                                    AnnotationMask mask, LabelId label) {
-  std::vector<DeltaHit> hits;
-  if (delta.empty()) return hits;
-  Walk(delta, labels, delta.root(), "", 0,
-       [&](int index, const std::string& path) {
-         const DeltaNode& n = delta.node(index);
-         if ((NodeMask(n) & mask) == 0) return;
-         if (label != kInvalidLabel && n.label != label) return;
-         hits.push_back({index, path});
-       });
-  return hits;
-}
-
 ChangeSummary SummarizeSubtree(const DeltaTree& delta, int index) {
   ChangeSummary summary;
   std::vector<int> stack = {index};

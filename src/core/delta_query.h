@@ -13,9 +13,9 @@ namespace treediff {
 /// Query and browsing facilities over delta trees — the Section 9 direction
 /// ("designing and implementing query, browsing, and active rule languages
 /// for hierarchical data based on our edit scripts and delta trees").
-/// A DeltaQuery selects delta nodes by annotation, label, and position, and
-/// reports change summaries per subtree; ActiveRules fire user predicates on
-/// matching changes (the warehouse-trigger scenario of the introduction).
+/// ActiveRules select delta nodes by annotation, label, and a user
+/// predicate (the warehouse-trigger scenario of the introduction); change
+/// summaries and reports browse the changes per subtree.
 
 /// A bitmask of annotations (1 << static_cast<int>(DeltaAnnotation)).
 using AnnotationMask = unsigned;
@@ -35,15 +35,6 @@ struct DeltaHit {
   int node = -1;
   std::string path;
 };
-
-/// Selects the delta nodes whose annotation is in `mask` (and, if `label`
-/// is not kInvalidLabel, whose label matches), in document order. A node
-/// whose value was updated counts as kUpdated even when its positional
-/// annotation is kMoveMarker.
-std::vector<DeltaHit> SelectChanges(const DeltaTree& delta,
-                                    const LabelTable& labels,
-                                    AnnotationMask mask,
-                                    LabelId label = kInvalidLabel);
 
 /// Per-subtree change counts, the "browsing" summary: how many inserts /
 /// deletes / updates / moves occurred at or below each delta node.
@@ -68,8 +59,9 @@ std::string RenderChangeReport(const DeltaTree& delta,
 
 /// An active rule (the introduction's warehouse/trigger scenario): fires
 /// once per delta node whose annotation is in `mask` and whose label
-/// matches (kInvalidLabel = any). `condition`, if set, further filters on
-/// the node. Matches are delivered to the callback with their path.
+/// matches (kInvalidLabel = any). A node whose value was updated counts as
+/// kUpdated even when its positional annotation is kMoveMarker.
+/// `condition`, if set, further filters on the node.
 struct ActiveRule {
   std::string name;
   AnnotationMask mask = kAnyChange;

@@ -24,14 +24,6 @@ const char* DeltaAnnotationName(DeltaAnnotation ann) {
   return "???";
 }
 
-size_t DeltaTree::CountAnnotation(DeltaAnnotation ann) const {
-  size_t count = 0;
-  for (const DeltaNode& n : nodes_) {
-    if (n.annotation == ann) ++count;
-  }
-  return count;
-}
-
 namespace {
 
 void DebugStringRec(const DeltaTree& dt, const LabelTable& labels, int index,

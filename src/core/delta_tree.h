@@ -63,9 +63,6 @@ class DeltaTree {
   int root() const { return root_; }
   bool empty() const { return nodes_.empty(); }
 
-  /// Number of nodes carrying the given annotation.
-  size_t CountAnnotation(DeltaAnnotation ann) const;
-
   /// Number of distinct moves represented (pairs of kMoved/kMoveMarker).
   size_t move_count() const { return static_cast<size_t>(next_move_id_); }
 

@@ -36,7 +36,6 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   const Budget* budget = ctx.budget();
 
   DiffReport report;
-  report.requested_rung = options.start_rung;
   WallTimer timer;
 
   // Phase 1: the Good Matching problem (Section 5), run down the DiffRung
@@ -50,14 +49,14 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   DiffRung rung = options.start_rung;
   std::optional<Matching> matching;
   std::vector<std::pair<NodeId, NodeId>> settled;
-  if (options.reuse_matching != nullptr) {
+  const bool reused = options.reuse_matching != nullptr;
+  if (reused) {
     // Chain reuse (service layer): the caller vouches that this matching was
     // produced by a prior DiffTrees over byte-identical trees, so phase 1 is
     // skipped outright and generation proceeds from the cached matching and
     // the settled list that run filtered against it.
     matching = *options.reuse_matching;
     if (options.reuse_settled != nullptr) settled = *options.reuse_settled;
-    report.matching_reused = true;
   } else {
     // The share-map pre-pass settles byte-identical subtrees wholesale
     // before the ladder runs, shrinking every matcher's working set to the
@@ -69,7 +68,6 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
       ShareStats share;
       seed = PrematchSharedSubtrees(
           ctx, options.share_mode == ShareMode::kIndexed, &share, &settled);
-      report.share_lookups = share.lookups;
       report.prune_settled_subtrees = share.settled_subtrees;
       report.prune_settled_nodes = share.settled_nodes;
       report.prune_collisions = share.collisions;
@@ -96,7 +94,7 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   // exhausted budget they would no-op at best, and a requested
   // kTopLevelReplace must stay a bare replace. A reused matching is already
   // a phase-1 final product — re-running the passes could perturb it.
-  if (!report.matching_reused && BudgetOk(budget) &&
+  if (!reused && BudgetOk(budget) &&
       rung != DiffRung::kTopLevelReplace) {
     if (options.post_process) {
       report.post_process_rematched =
@@ -115,7 +113,7 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   // A reused list was filtered by the run that produced it.
   if (options.share_mode != ShareMode::kIndexed) {
     settled.clear();
-  } else if (!report.matching_reused) {
+  } else if (!reused) {
     FilterIntactSettled(t1, t2, *matching, &settled);
   }
   report.match_seconds = timer.ElapsedSeconds();
@@ -151,23 +149,7 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
 
   report.rung = rung;
   report.degraded =
-      static_cast<int>(rung) > static_cast<int>(report.requested_rung);
-  if (budget != nullptr) {
-    report.exhaustion_code = budget->exhaustion_code();
-    report.exhaustion_detail = budget->exhaustion_detail();
-    report.nodes_visited = budget->nodes_visited();
-    report.comparisons = budget->comparisons();
-    report.peak_arena_bytes = budget->peak_arena_bytes();
-    report.elapsed_seconds = budget->elapsed_seconds();
-  }
-  // Report this run's cache traffic only: a caller-supplied comparator
-  // (DiffOptions::comparator) may be shared across DiffTrees calls, so the
-  // cumulative totals are diffed against the snapshot the context took at
-  // construction.
-  const ValueComparator::CacheStats cache = ctx.comparator().cache_stats();
-  const ValueComparator::CacheStats& base = ctx.comparator_baseline();
-  report.tokenize_cache_hits = cache.tokenize_hits - base.tokenize_hits;
-  report.tokenize_cache_misses = cache.tokenize_misses - base.tokenize_misses;
+      static_cast<int>(rung) > static_cast<int>(options.start_rung);
 
   DiffResult result{std::move(*matching), std::move(gen->script),
                     std::move(report), std::move(settled)};

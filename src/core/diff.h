@@ -23,21 +23,13 @@ namespace treediff {
 /// counted (the Section 8 quantities), and how it spent its budget.
 /// (DiffRung, DiffRungName, and DiffOptions live in diff_context.h.)
 struct DiffReport {
-  /// The rung the caller asked for (DiffOptions::start_rung).
-  DiffRung requested_rung = DiffRung::kFastMatch;
-
   /// The rung that produced the returned script.
   DiffRung rung = DiffRung::kFastMatch;
 
-  /// True if `rung` is below `requested_rung` (the budget forced a step
-  /// down).
+  /// True if `rung` is below DiffOptions::start_rung (the budget forced a
+  /// step down). Why it tripped is on the caller's DiffOptions::budget
+  /// (exhaustion_code(), exhaustion_detail()), as are its counters.
   bool degraded = false;
-
-  /// kOk if the budget never exhausted; otherwise kResourceExhausted or
-  /// kDeadlineExceeded plus the limit that tripped ("deadline", "node cap",
-  /// "comparison cap", "arena cap").
-  Code exhaustion_code = Code::kOk;
-  std::string exhaustion_detail;
 
   /// Leaf compare() invocations (r1 in Section 8) and partner checks (r2)
   /// during phase 1: the matcher ladder and the repair passes.
@@ -62,33 +54,12 @@ struct DiffReport {
   double match_seconds = 0.0;
   double script_seconds = 0.0;
 
-  /// DiffOptions::budget's counters at return. All zero when no budget was
-  /// set: the pipeline's own counts are the fields above.
-  size_t nodes_visited = 0;
-  size_t comparisons = 0;
-  size_t peak_arena_bytes = 0;
-  double elapsed_seconds = 0.0;
-
-  /// Comparator tokenization-cache traffic (WordLcsComparator dedups token
-  /// vectors by 64-bit value hash; see ValueComparator::cache_stats). Both
-  /// zero when the caller supplied a comparator without cache accounting.
-  /// Counted per DiffTrees call: a comparator reused across runs reports
-  /// only this run's traffic, not the cumulative totals.
-  size_t tokenize_cache_hits = 0;
-  size_t tokenize_cache_misses = 0;
-
-  /// Share-map pre-pass counters (DiffOptions::share_mode != kOff): twin
-  /// lookups issued, subtrees (and nodes) settled wholesale before the
-  /// matcher ladder ran, and fingerprint collisions rejected by the
-  /// byte-wise verification.
-  size_t share_lookups = 0;
+  /// Share-map pre-pass counters (DiffOptions::share_mode != kOff): subtrees
+  /// (and nodes) settled wholesale before the matcher ladder ran, and
+  /// fingerprint collisions rejected by the byte-wise verification.
   size_t prune_settled_subtrees = 0;
   size_t prune_settled_nodes = 0;
   size_t prune_collisions = 0;
-
-  /// True if phase 1 was skipped because the caller supplied
-  /// DiffOptions::reuse_matching (service-level chain reuse).
-  bool matching_reused = false;
 };
 
 /// Result of the end-to-end pipeline.

@@ -46,7 +46,6 @@ DiffContext::DiffContext(const Tree& t1, const Tree& t2,
       t2_(t2),
       options_(options),
       comparator_(ResolveComparator(options_, &owned_comparator_)),
-      comparator_baseline_(comparator_->cache_stats()),
       index1_(ResolveIndex(t1, options_.index1, &owned_index1_)),
       index2_(ResolveIndex(t2, options_.index2, &owned_index2_)),
       evaluator_(*index1_, *index2_, comparator_,

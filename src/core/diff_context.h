@@ -118,8 +118,9 @@ struct DiffOptions {
   /// Optional resource budget (deadline / node / comparison / arena caps).
   /// Null means unlimited — the exact pre-budget pipeline, bit-identical
   /// outputs. Non-null makes DiffTrees degrade down the DiffRung ladder on
-  /// exhaustion instead of running unbounded; the taken rung and counters
-  /// are returned in DiffResult::report. The budget must outlive the call
+  /// exhaustion instead of running unbounded; the taken rung is returned
+  /// in DiffResult::report, and the budget keeps its own counters and the
+  /// limit that tripped. The budget must outlive the call
   /// and must not be shared with a concurrent pipeline invocation.
   const Budget* budget = nullptr;
 
@@ -178,15 +179,6 @@ class DiffContext {
   /// The caller's comparator, or the owned default WordLcsComparator.
   const ValueComparator& comparator() const { return *comparator_; }
 
-  /// The comparator's cache counters as they stood when this context was
-  /// built. A caller-supplied comparator accumulates cache traffic across
-  /// diffs; per-run reporting subtracts this baseline so DiffResult::report
-  /// never bleeds a previous run's hits into the next (satellite of the
-  /// shared-comparator serving path).
-  const ValueComparator::CacheStats& comparator_baseline() const {
-    return comparator_baseline_;
-  }
-
   const CriteriaEvaluator& evaluator() const { return evaluator_; }
 
   const Budget* budget() const { return options_.budget; }
@@ -197,7 +189,6 @@ class DiffContext {
   DiffOptions options_;
   std::unique_ptr<WordLcsComparator> owned_comparator_;
   const ValueComparator* comparator_;
-  ValueComparator::CacheStats comparator_baseline_;
   // Built here unless DiffOptions::index1/index2 lend pre-built ones (the
   // tree-cache fast path); index1_/index2_ point at whichever is in use.
   std::unique_ptr<TreeIndex> owned_index1_;

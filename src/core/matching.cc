@@ -27,10 +27,6 @@ void Matching::Remove(NodeId x, NodeId y) {
   --size_;
 }
 
-void Matching::EnsureT1Bound(size_t bound) {
-  if (bound > t1_to_t2_.size()) t1_to_t2_.resize(bound, kInvalidNode);
-}
-
 std::vector<std::pair<NodeId, NodeId>> Matching::Pairs() const {
   std::vector<std::pair<NodeId, NodeId>> pairs;
   pairs.reserve(size_);

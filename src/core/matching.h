@@ -56,10 +56,6 @@ class Matching {
   /// Number of matched pairs.
   size_t size() const { return size_; }
 
-  /// Grows the T1 partner array to cover ids up to `bound` (used when the
-  /// working tree gains inserted nodes).
-  void EnsureT1Bound(size_t bound);
-
   /// All pairs (x, y) in ascending order of x.
   std::vector<std::pair<NodeId, NodeId>> Pairs() const;
 

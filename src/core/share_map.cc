@@ -62,7 +62,6 @@ Matching PrematchSharedSubtrees(
   // is entirely unmatched. Both candidate sources preserve document order
   // and apply the same filters, so both modes settle the same pairs.
   auto find_twin = [&](NodeId x) -> NodeId {
-    ++stats->lookups;
     if (use_share_map) {
       const std::vector<NodeId>* bucket = map->Candidates(i1.SubtreeHash(x));
       if (bucket == nullptr) return kInvalidNode;

@@ -27,10 +27,6 @@ void MatchSubtreePair(const Tree& t1, NodeId x, const Tree& t2, NodeId y,
 /// Per-run counters of the share-map pre-pass, surfaced in
 /// DiffResult::report and the service metrics registry.
 struct ShareStats {
-  /// T1 subtrees probed against the other tree (indexed mode: share-map
-  /// lookups; reference mode: document-order scans).
-  size_t lookups = 0;
-
   /// Wholesale subtree pairs the pre-pass settled.
   size_t settled_subtrees = 0;
 

@@ -19,6 +19,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// The control-operation pool (open/commit/metrics/status): one thread,
+/// up to 64 queued operations.
+constexpr int kControlThreads = 1;
+constexpr size_t kControlQueue = 64;
+
 double Seconds(Clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
@@ -58,9 +63,7 @@ struct NetServer::Connection
 NetServer::NetServer(DiffService* service, NetServerOptions options)
     : service_(service),
       options_(std::move(options)),
-      control_pool_(ThreadPool::Options{
-          std::max(options_.control_threads, 1),
-          std::max<size_t>(options_.control_queue, 1)}) {
+      control_pool_(ThreadPool::Options{kControlThreads, kControlQueue}) {
   scheduler_ = std::make_unique<TenantScheduler>(options_.admission,
                                                  &service_->metrics());
   frontend_ = std::make_unique<Frontend>(service_, &control_pool_,

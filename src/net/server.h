@@ -64,11 +64,6 @@ struct NetServerOptions {
   /// request gets an error response, not silence).
   double drain_deadline_seconds = 5.0;
 
-  /// Control-operation pool (open/commit/metrics/status): threads and
-  /// queue.
-  int control_threads = 1;
-  size_t control_queue = 64;
-
   /// Directory for the replica logs of a replicated kOpen.
   std::string store_dir = ".";
 

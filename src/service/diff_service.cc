@@ -13,6 +13,17 @@ namespace treediff {
 
 namespace {
 
+/// The tree cache: 64 MiB of parsed, indexed documents over 8 shards.
+constexpr size_t kTreeCacheBytes = 64u << 20;
+constexpr int kTreeCacheShards = 8;
+
+/// Where a request admitted under queue pressure starts on the ladder:
+/// O(n log n) label/value bucketing with no value comparisons.
+constexpr DiffRung kDegradedStartRung = DiffRung::kKeyedStructural;
+
+/// First store-retry backoff; each further retry doubles it.
+constexpr double kStoreRetryBackoffSeconds = 0.001;
+
 double Seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
@@ -61,8 +72,7 @@ const char* StoreHealthName(StoreHealth health) {
 
 DiffService::DiffService(DiffServiceOptions options)
     : options_(options),
-      cache_(TreeCache::Options{options.cache_capacity_bytes,
-                                options.cache_shards}),
+      cache_(TreeCache::Options{kTreeCacheBytes, kTreeCacheShards}),
       pool_(ThreadPool::Options{std::max(options.num_threads, 1),
                                 std::max<size_t>(options.queue_capacity, 1)}) {
   requests_ = metrics_.counter("diff_requests_total");
@@ -205,7 +215,7 @@ Status DiffService::GuardedStoreOp(
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       store_retries_->Increment();
-      const double backoff = options_.store_retry_backoff_seconds *
+      const double backoff = kStoreRetryBackoffSeconds *
                              static_cast<double>(1 << (attempt - 1));
       if (options_.sleep) {
         options_.sleep(backoff);
@@ -408,8 +418,6 @@ DiffResponse DiffService::Process(const DiffRequest& request,
   const double deadline = request.deadline_seconds > 0.0
                               ? request.deadline_seconds
                               : options_.default_deadline_seconds;
-  const size_t node_cap =
-      request.node_cap > 0 ? request.node_cap : options_.default_node_cap;
   Budget budget;
   bool budgeted = false;
   if (deadline > 0.0) {
@@ -423,8 +431,8 @@ DiffResponse DiffService::Process(const DiffRequest& request,
     budget.set_deadline_seconds(remaining);
     budgeted = true;
   }
-  if (node_cap > 0) {
-    budget.set_node_cap(node_cap);
+  if (request.node_cap > 0) {
+    budget.set_node_cap(request.node_cap);
     budgeted = true;
   }
 
@@ -471,7 +479,7 @@ DiffResponse DiffService::Process(const DiffRequest& request,
   diff.start_rung = request.start_rung;
   if (shed_degraded) {
     diff.start_rung =
-        LowerRung(diff.start_rung, options_.degraded_start_rung);
+        LowerRung(diff.start_rung, kDegradedStartRung);
   }
   if (options_.incremental && diff.share_mode == ShareMode::kOff) {
     diff.share_mode = ShareMode::kIndexed;

@@ -101,30 +101,25 @@ struct DiffServiceOptions {
   int num_threads = 4;
   size_t queue_capacity = 256;
 
-  size_t cache_capacity_bytes = 64u << 20;
-  int cache_shards = 8;
-
   /// Admission pressure: once the queue is at least this fraction full,
-  /// newly admitted requests start at `degraded_start_rung` (if that is
-  /// lower than what they asked for) instead of being queued at full cost —
+  /// newly admitted requests start at kKeyedStructural (if that is lower
+  /// than what they asked for) instead of being queued at full cost —
   /// load-shedding by degradation, the DiffRung ladder's serving-side use.
   /// Values > 1.0 disable pressure degradation.
   double degrade_queue_fraction = 0.75;
-  DiffRung degraded_start_rung = DiffRung::kKeyedStructural;
 
-  /// Default per-request budget caps; 0 = unlimited.
+  /// Default per-request deadline; 0 = unlimited. A request's own
+  /// deadline_seconds or node_cap, when set, overrides it or adds a cap.
   double default_deadline_seconds = 0.0;
-  size_t default_node_cap = 0;
 
   /// Store resilience. Transient store errors (kUnavailable) are retried up
   /// to `store_retry_attempts` total tries with doubling backoff starting
-  /// at `store_retry_backoff_seconds`; a poisoned durable store is repaired
-  /// (VersionStore::Repair) and the operation re-run. After
+  /// at 1 ms; a poisoned durable store is repaired (VersionStore::Repair)
+  /// and the operation re-run. After
   /// `breaker_failure_threshold` consecutive server-side failures a store's
   /// circuit breaker opens: its requests fast-fail with kUnavailable for
   /// `breaker_cooldown_seconds` instead of piling onto a sick store.
   int store_retry_attempts = 3;
-  double store_retry_backoff_seconds = 0.001;
   int breaker_failure_threshold = 3;
   double breaker_cooldown_seconds = 5.0;
 

@@ -94,11 +94,12 @@ struct LogProbe {
 /// Scans the log of `replica` with VersionStore::Open's own first step
 /// (ScanStoreLog), which only reads it. kNotFound when there is no log,
 /// kDataLoss when it holds no usable base snapshot (nothing to recover
-/// from it).
+/// from it). The scan's transient-fault retries are added to `*retries`.
 StatusOr<LogProbe> ProbeLog(const ReplicaConfig& replica,
-                            StoreOptions store_options) {
+                            StoreOptions store_options, uint64_t* retries) {
   store_options.env = replica.env;
-  StatusOr<LogScanResult> scan = ScanStoreLog(replica.path, store_options);
+  StatusOr<LogScanResult> scan =
+      ScanStoreLog(replica.path, store_options, retries);
   if (!scan.ok()) return scan.status();
   LogProbe probe;
   probe.valid_bytes = scan->durable_prefix;
@@ -162,8 +163,10 @@ StatusOr<std::unique_ptr<ReplicatedVersionStore>> ReplicatedVersionStore::
   int leader = -1;
   LogProbe best;
   Status absent = Status::Ok();
+  uint64_t probe_retries = 0;
   for (size_t i = 0; i < replicas.size(); ++i) {
-    StatusOr<LogProbe> probe = ProbeLog(replicas[i], options.store_options);
+    StatusOr<LogProbe> probe =
+        ProbeLog(replicas[i], options.store_options, &probe_retries);
     if (!probe.ok()) {
       const Code code = probe.status().code();
       if (code != Code::kNotFound && code != Code::kDataLoss) {
@@ -199,6 +202,7 @@ StatusOr<std::unique_ptr<ReplicatedVersionStore>> ReplicatedVersionStore::
   auto primary = VersionStore::Open(led.path, diff_options, so);
   if (!primary.ok()) return primary.status();
   auto primary_store = std::make_shared<VersionStore>(std::move(*primary));
+  primary_store->AddRetries(probe_retries);
   const uint64_t epoch = primary_store->epoch();
   auto group = Assemble(std::move(replicas), primary_store, leader,
                         base.label_table(), diff_options, std::move(options));
@@ -485,7 +489,7 @@ Status ReplicatedVersionStore::PumpOne(ReplicaState* state) {
         "replication: shipped batch failed CRC verification");
   }
 
-  Status st = AppendBatchLocked(state, *batch);
+  Status st = AppendBatchLocked(state, *batch, primary.get());
   if (!st.ok()) return st;
 
   state->chain = Crc32cExtend(state->chain, batch->data(), batch->size());
@@ -528,11 +532,12 @@ Status ReplicatedVersionStore::ResyncLocked(
 }
 
 Status ReplicatedVersionStore::AppendBatchLocked(ReplicaState* state,
-                                                 std::string_view batch) {
+                                                 std::string_view batch,
+                                                 VersionStore* primary) {
   Env* env = state->config.env;
   const std::string& path = state->config.path;
   Retryer retryer(options_.store_options.retry, options_.store_options.sleep);
-  return retryer.Run([&]() REQUIRES(state->mu) {
+  const Status appended = retryer.Run([&]() REQUIRES(state->mu) {
     // Repair a torn local tail first: a failed append may have persisted a
     // prefix of the batch, and appending after garbage corrupts everything
     // downstream of it. Truncating back to the cursor restores the
@@ -561,6 +566,8 @@ Status ReplicatedVersionStore::AppendBatchLocked(ReplicaState* state,
     }
     return st;
   });
+  primary->AddRetries(retryer.total_retries());
+  return appended;
 }
 
 StatusOr<Tree> ReplicatedVersionStore::Materialize(int v) {

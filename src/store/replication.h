@@ -307,9 +307,10 @@ class ReplicatedVersionStore {
       REQUIRES(state->mu);
 
   /// Appends `batch` to the follower's local log and fsyncs, repairing a
-  /// torn local tail (truncate back to the cursor) between attempts.
-  Status AppendBatchLocked(ReplicaState* state, std::string_view batch)
-      REQUIRES(state->mu);
+  /// torn local tail (truncate back to the cursor) between attempts. The
+  /// retries are counted on `primary` (VersionStore::AddRetries).
+  Status AppendBatchLocked(ReplicaState* state, std::string_view batch,
+                           VersionStore* primary) REQUIRES(state->mu);
 
   StatusOr<int> PromoteInternal(int follower_index,
                                 const uint64_t* expected_epoch)

@@ -135,6 +135,17 @@ void VersionStore::BumpCounter(const char* name, uint64_t n) const {
   }
 }
 
+void VersionStore::AddRetriesLocked(uint64_t n) {
+  if (n == 0) return;
+  faults_.transient_retries += n;
+  BumpCounter("store_retries_total", n);
+}
+
+void VersionStore::AddRetries(uint64_t n) {
+  MutexLock lock(&mu_);
+  AddRetriesLocked(n);
+}
+
 Status VersionStore::AppendOnce(LogRecordType type, std::string_view payload) {
   TREEDIFF_RETURN_IF_ERROR(writer_->AppendRecord(type, payload));
   return writer_->Sync();
@@ -161,10 +172,7 @@ Status VersionStore::AppendDurable(LogRecordType type,
     need_rotation = !st.ok();
     return st;
   });
-  if (retryer.total_retries() > 0) {
-    faults_.transient_retries += retryer.total_retries();
-    BumpCounter("store_retries_total", retryer.total_retries());
-  }
+  AddRetriesLocked(retryer.total_retries());
   // On failure the log tail is in an unknown state; poison the store so no
   // further mutation can commit on top of it. Reads stay available, and
   // Repair() or reopening restores service.
@@ -254,11 +262,6 @@ const VersionStore::Segment* VersionStore::FindSegment(int v) const {
     }
   }
   return nullptr;
-}
-
-bool VersionStore::VersionAvailable(int v) const {
-  MutexLock lock(&mu_);
-  return FindSegment(v) != nullptr;
 }
 
 StatusOr<Tree> VersionStore::Materialize(int v) const {
@@ -518,6 +521,7 @@ StatusOr<ScrubReport> VersionStore::Scrub() {
     scan = ScanLog(file->get());
     return scan.status();
   });
+  AddRetries(retryer.total_retries());
   if (!scanned.ok()) return scanned;
 
   ScrubReport report;
@@ -614,7 +618,8 @@ StatusOr<VersionStore> VersionStore::Create(const std::string& path, Tree base,
 }
 
 StatusOr<LogScanResult> ScanStoreLog(const std::string& path,
-                                     const StoreOptions& store_options) {
+                                     const StoreOptions& store_options,
+                                     uint64_t* retries) {
   Env* env = store_options.env ? store_options.env : Env::Default();
   auto file = env->NewRandomAccessFile(path);
   if (!file.ok()) return file.status();  // NotFound / InvalidArgument(dir).
@@ -636,6 +641,7 @@ StatusOr<LogScanResult> ScanStoreLog(const std::string& path,
     scan = ScanLog(file->get(), scan_options);
     return scan.status();
   });
+  *retries += retryer.total_retries();
   if (!scanned.ok()) {
     if (scanned.code() == Code::kParseError) {
       // Bad or truncated magic: the file is not (or no longer) a log.
@@ -660,7 +666,9 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
                                           RecoveryReport* report) {
   Env* env = store_options.env ? store_options.env : Env::Default();
   const bool salvage = store_options.recovery == RecoveryMode::kSalvage;
-  StatusOr<LogScanResult> scan = ScanStoreLog(path, store_options);
+  uint64_t scan_retries = 0;
+  StatusOr<LogScanResult> scan =
+      ScanStoreLog(path, store_options, &scan_retries);
   if (!scan.ok()) return scan.status();
 
   std::shared_ptr<LabelTable> labels =
@@ -922,6 +930,7 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
     store.faults_.salvage_skipped = records_skipped;
     store.log_format_ = scan->format;
     store.epoch_ = epoch_seen;
+    store.AddRetriesLocked(scan_retries);
   }
   if (records_skipped > 0) {
     MutexLock lock(&store.mu_);
@@ -937,8 +946,10 @@ StatusOr<VersionStore> VersionStore::Open(const std::string& path,
     // swapped atomically and the old log stays salvageable until then.
     MutexLock lock(&store.mu_);
     Retryer retryer(store_options.retry, store_options.sleep);
-    TREEDIFF_RETURN_IF_ERROR(retryer.Run(
-        [&]() REQUIRES(store.mu_) { return store.RotateLocked(); }));
+    const Status rotation = retryer.Run(
+        [&]() REQUIRES(store.mu_) { return store.RotateLocked(); });
+    store.AddRetriesLocked(retryer.total_retries());
+    TREEDIFF_RETURN_IF_ERROR(rotation);
     rotated = true;
   } else {
     // Tail-only damage (or none): physically drop the rejected tail so the

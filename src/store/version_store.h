@@ -63,7 +63,7 @@ struct StoreOptions {
   std::function<void(double seconds)> sleep;
 
   /// Optional registry mirroring the store's fault counters as
-  /// `store_retries_total`, `store_rotations_total`, `store_scrubs_total`,
+  /// `store_retries_total` (every retried I/O attempt), `store_rotations_total`, `store_scrubs_total`,
   /// `store_scrub_corruption_total`, `store_salvage_records_skipped_total`,
   /// and the deltas Materialize replays as `store_deltas_replayed_total`.
   /// Must outlive the store. Null disables the mirror.
@@ -124,9 +124,11 @@ struct ScrubReport {
 /// first record is a base snapshot. kDataLoss for a zero-length file, a bad
 /// magic, or a missing or resynced base snapshot; the Env's status (e.g.
 /// kNotFound) when the file cannot be opened. Replication's restart
-/// recovery probes every replica log with it.
+/// recovery probes every replica log with it. The scan's transient-fault
+/// retries are added to `*retries`.
 StatusOr<LogScanResult> ScanStoreLog(const std::string& path,
-                                     const StoreOptions& store_options);
+                                     const StoreOptions& store_options,
+                                     uint64_t* retries);
 
 /// A delta-compressed version store for hierarchical data — the version and
 /// configuration management application of the paper's introduction
@@ -249,16 +251,12 @@ class VersionStore {
 
   /// Number of versions in the numbering space (>= 1; version 0 is the
   /// base, VersionCount()-1 is the head). After a salvage with holes, some
-  /// versions inside the range are lost — VersionAvailable tells them
-  /// apart.
+  /// versions inside the range are lost: Materialize fails them with
+  /// kDataLoss.
   int VersionCount() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return VersionCountLocked();
   }
-
-  /// True if version `v` can be materialized (in range and not lost to a
-  /// salvage hole).
-  bool VersionAvailable(int v) const EXCLUDES(mu_);
 
   /// Rebuilds version `v` (0 = base, VersionCount()-1 = head) by replaying
   /// the stored scripts from the nearest in-memory anchor at or below it.
@@ -334,13 +332,19 @@ class VersionStore {
 
   /// Cumulative fault-handling activity, for tests and service metrics.
   struct FaultCounters {
-    uint64_t transient_retries = 0;   // Append/sync attempts retried.
+    uint64_t transient_retries = 0;   // I/O attempts retried.
     uint64_t rotations = 0;           // Log rewrites (Repair + self-heal).
     uint64_t scrubs = 0;              // Scrub passes completed.
     uint64_t scrub_corruption = 0;    // Scrubs that found corruption.
     uint64_t salvage_skipped = 0;     // Records skipped by salvage Open.
   };
   FaultCounters fault_counters() const EXCLUDES(mu_);
+
+  /// Adds `n` retried I/O attempts to FaultCounters::transient_retries and
+  /// `store_retries_total`. The store counts its own retries (appends,
+  /// rotations, recovery and scrub scans); a replication group adds its
+  /// followers' append retries and its restart probes to the primary's.
+  void AddRetries(uint64_t n) EXCLUDES(mu_);
 
   // --- Replication hooks (durable mode) ---
 
@@ -448,6 +452,7 @@ class VersionStore {
   Status RotateLocked() REQUIRES(mu_);
 
   void BumpCounter(const char* name, uint64_t n) const REQUIRES(mu_);
+  void AddRetriesLocked(uint64_t n) REQUIRES(mu_);
 
   /// Serializes every method; guards the mutable version/log state below.
   /// Immutable-after-construction members (base_, options_, env_, path_,

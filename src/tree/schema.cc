@@ -1,7 +1,5 @@
 #include "tree/schema.h"
 
-#include <algorithm>
-
 namespace treediff {
 
 void LabelSchema::SetRank(LabelId label, int rank) { ranks_[label] = rank; }
@@ -27,17 +25,6 @@ Status LabelSchema::CheckAcyclic(const Tree& tree) const {
     }
   }
   return Status::Ok();
-}
-
-std::vector<LabelId> LabelSchema::LabelsByRank() const {
-  std::vector<std::pair<int, LabelId>> order;
-  order.reserve(ranks_.size());
-  for (const auto& [label, rank] : ranks_) order.emplace_back(rank, label);
-  std::sort(order.begin(), order.end());
-  std::vector<LabelId> labels;
-  labels.reserve(order.size());
-  for (const auto& [rank, label] : order) labels.push_back(label);
-  return labels;
 }
 
 LabelSchema MakeDocumentSchema(LabelTable* labels) {

@@ -3,7 +3,6 @@
 
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "tree/tree.h"
 #include "util/status.h"
@@ -31,10 +30,6 @@ class LabelSchema {
   /// True if every edge of `tree` satisfies rank(child) < rank(parent).
   /// Labels absent from the schema fail the check.
   Status CheckAcyclic(const Tree& tree) const;
-
-  /// All labels in the schema sorted by ascending rank (leaf-most first), the
-  /// order FastMatch processes label chains in.
-  std::vector<LabelId> LabelsByRank() const;
 
  private:
   std::unordered_map<LabelId, int> ranks_;

@@ -404,46 +404,6 @@ std::vector<int> Tree::LeafCounts() const {
   return counts;
 }
 
-std::vector<int> Tree::Depths() const {
-  std::vector<int> depths(nodes_.size(), -1);
-  for (NodeId x : BfsOrder()) {
-    NodeId p = parent(x);
-    depths[static_cast<size_t>(x)] =
-        p == kInvalidNode ? 0 : depths[static_cast<size_t>(p)] + 1;
-  }
-  return depths;
-}
-
-int Tree::Height() const {
-  if (root_ == kInvalidNode) return -1;
-  int h = 0;
-  for (int d : Depths()) h = std::max(h, d);
-  return h;
-}
-
-Tree::EulerIntervals Tree::ComputeEuler() const {
-  EulerIntervals e;
-  e.tin.assign(nodes_.size(), -1);
-  e.tout.assign(nodes_.size(), -1);
-  int clock = 0;
-  if (root_ == kInvalidNode) return e;
-  std::vector<std::pair<NodeId, size_t>> stack = {{root_, 0}};
-  e.tin[static_cast<size_t>(root_)] = clock++;
-  while (!stack.empty()) {
-    auto& [x, cursor] = stack.back();
-    const auto& kids = children(x);
-    if (cursor < kids.size()) {
-      NodeId next = kids[cursor++];
-      e.tin[static_cast<size_t>(next)] = clock++;
-      stack.push_back({next, 0});
-    } else {
-      e.tout[static_cast<size_t>(x)] = clock++;
-      stack.pop_back();
-    }
-  }
-  return e;
-}
-
 Tree Tree::Clone() const {
   Tree copy(labels_);
   copy.nodes_ = nodes_;

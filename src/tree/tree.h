@@ -163,26 +163,6 @@ class Tree {
   /// itself). Dead nodes get 0. Used by Matching Criterion 2.
   std::vector<int> LeafCounts() const;
 
-  /// depths[x] = distance from the root (root = 0); dead nodes get -1.
-  std::vector<int> Depths() const;
-
-  /// Height of the tree (a single root has height 0); -1 if empty.
-  int Height() const;
-
-  /// Pre-order entry/exit stamps enabling O(1) ancestry checks while the tree
-  /// is not mutated. Recompute after any edit.
-  struct EulerIntervals {
-    std::vector<int> tin;
-    std::vector<int> tout;
-
-    /// True if `anc` equals `desc` or is an ancestor of `desc`.
-    bool Contains(NodeId anc, NodeId desc) const {
-      return tin[static_cast<size_t>(anc)] <= tin[static_cast<size_t>(desc)] &&
-             tout[static_cast<size_t>(desc)] <= tout[static_cast<size_t>(anc)];
-    }
-  };
-  EulerIntervals ComputeEuler() const;
-
   // ----- Utilities -----
 
   /// Deep copy preserving node ids (including dead slots) and sharing the

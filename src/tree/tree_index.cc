@@ -50,7 +50,6 @@ TreeIndex::TreeIndex(const Tree& tree, const TreeIndex& source)
          source.tree().root() == tree.root());
   tree.AttachIndex(this);
   source.EnsureScalars();
-  depth_ = source.depth_;
   subtree_size_ = source.subtree_size_;
   leaf_count_ = source.leaf_count_;
   child_index_ = source.child_index_;
@@ -63,11 +62,6 @@ TreeIndex::~TreeIndex() {
 }
 
 // ----- Scalar tier -----
-
-int TreeIndex::Depth(NodeId x) const {
-  EnsureScalars();
-  return depth_[Idx(x)];
-}
 
 int TreeIndex::SubtreeSize(NodeId x) const {
   EnsureScalars();
@@ -109,11 +103,6 @@ const std::vector<NodeId>& TreeIndex::BfsOrder() const {
 const std::vector<NodeId>& TreeIndex::Leaves() const {
   EnsureOrders();
   return leaves_;
-}
-
-int TreeIndex::PostOrderPos(NodeId x) const {
-  EnsureOrders();
-  return post_pos_[Idx(x)];
 }
 
 bool TreeIndex::Contains(NodeId anc, NodeId desc) const {
@@ -195,7 +184,6 @@ void TreeIndex::RebuildScalars() const {
   assert(tree_ != nullptr && "index used after its tree was destroyed");
   const Tree& t = *tree_;
   const size_t n = t.id_bound();
-  depth_.assign(n, -1);
   subtree_size_.assign(n, 0);
   leaf_count_.assign(n, 0);
   child_index_.assign(n, -1);
@@ -206,14 +194,12 @@ void TreeIndex::RebuildScalars() const {
   }
   if (t.root() != kInvalidNode) {
     std::vector<std::pair<NodeId, size_t>> stack = {{t.root(), 0}};
-    depth_[Idx(t.root())] = 0;
     while (!stack.empty()) {
       auto& [x, cursor] = stack.back();
       const auto& kids = t.children(x);
       if (cursor < kids.size()) {
         NodeId next = kids[cursor];
         child_index_[Idx(next)] = static_cast<int>(cursor);
-        depth_[Idx(next)] = depth_[Idx(x)] + 1;
         ++cursor;
         stack.push_back({next, 0});
       } else {
@@ -239,7 +225,6 @@ void TreeIndex::RebuildOrders() const {
   pre_order_.clear();
   post_order_.clear();
   leaves_.clear();
-  post_pos_.assign(n, -1);
   tin_.assign(n, -1);
   tout_.assign(n, -1);
   leaf_begin_.assign(n, 0);
@@ -272,25 +257,19 @@ void TreeIndex::RebuildOrders() const {
       } else {
         tout_[Idx(x)] = clock++;
         leaf_end_[Idx(x)] = static_cast<int>(leaves_.size());
-        post_pos_[Idx(x)] = static_cast<int>(post_order_.size());
         post_order_.push_back(x);
         stack.pop_back();
       }
     }
   }
-  // BFS = pre-order stably bucketed by depth (within a level both orders
-  // sort nodes by ancestor path).
+  // Level walk, as Tree::BfsOrder: bfs_order_ doubles as the queue.
   bfs_order_.clear();
-  bfs_order_.reserve(pre_order_.size());
-  int max_depth = -1;
-  for (NodeId x : pre_order_) max_depth = std::max(max_depth, depth_[Idx(x)]);
-  std::vector<std::vector<NodeId>> by_depth(
-      static_cast<size_t>(max_depth + 1));
-  for (NodeId x : pre_order_) {
-    by_depth[static_cast<size_t>(depth_[Idx(x)])].push_back(x);
-  }
-  for (const auto& level : by_depth) {
-    bfs_order_.insert(bfs_order_.end(), level.begin(), level.end());
+  if (t.root() != kInvalidNode) {
+    bfs_order_.reserve(pre_order_.size());
+    bfs_order_.push_back(t.root());
+    for (size_t i = 0; i < bfs_order_.size(); ++i) {
+      for (NodeId c : t.children(bfs_order_[i])) bfs_order_.push_back(c);
+    }
   }
   orders_dirty_ = false;
 }
@@ -321,8 +300,7 @@ void TreeIndex::RebuildFingerprints() const {
 
 void TreeIndex::GrowScalars() const {
   const size_t n = tree_->id_bound();
-  if (depth_.size() >= n) return;
-  depth_.resize(n, -1);
+  if (subtree_size_.size() >= n) return;
   subtree_size_.resize(n, 0);
   leaf_count_.resize(n, 0);
   child_index_.resize(n, -1);
@@ -356,7 +334,6 @@ void TreeIndex::OnInsertLeaf(NodeId x) {
   if (!scalars_dirty_) {
     GrowScalars();
     const NodeId p = tree_->parent(x);
-    depth_[Idx(x)] = depth_[Idx(p)] + 1;
     subtree_size_[Idx(x)] = 1;
     leaf_count_[Idx(x)] = 1;
     value_hash_[Idx(x)] = HashValueBytes(tree_->value(x));
@@ -369,7 +346,6 @@ void TreeIndex::OnInsertLeaf(NodeId x) {
 
 void TreeIndex::OnDeleteLeaf(NodeId x, NodeId old_parent) {
   if (!scalars_dirty_) {
-    depth_[Idx(x)] = -1;
     subtree_size_[Idx(x)] = 0;
     leaf_count_[Idx(x)] = 0;
     child_index_[Idx(x)] = -1;
@@ -389,10 +365,8 @@ void TreeIndex::OnReviveLeaf(NodeId x) {
     subtree_size_[Idx(x)] = 1;
     leaf_count_[Idx(x)] = 1;
     if (p == kInvalidNode) {
-      depth_[Idx(x)] = 0;
       child_index_[Idx(x)] = -1;
     } else {
-      depth_[Idx(x)] = depth_[Idx(p)] + 1;
       RepairChildIndexes(p);
       RepairPathUp(p);
     }
@@ -411,16 +385,6 @@ void TreeIndex::OnUpdateValue(NodeId x) {
 void TreeIndex::OnMoveSubtree(NodeId x, NodeId old_parent) {
   if (!scalars_dirty_) {
     const NodeId np = tree_->parent(x);
-    const int delta = depth_[Idx(np)] + 1 - depth_[Idx(x)];
-    if (delta != 0) {
-      std::vector<NodeId> stack = {x};
-      while (!stack.empty()) {
-        NodeId y = stack.back();
-        stack.pop_back();
-        depth_[Idx(y)] += delta;
-        for (NodeId c : tree_->children(y)) stack.push_back(c);
-      }
-    }
     RepairChildIndexes(old_parent);
     RepairChildIndexes(np);
     // Repair the old path first: any stale ancestors it leaves on the
@@ -436,14 +400,12 @@ void TreeIndex::OnTruncateDeadTail(size_t bound) {
   // Popped slots are all dead, so they appear in no order or chain; the
   // id-indexed arrays just shrink to the new bound.
   if (!scalars_dirty_) {
-    depth_.resize(bound);
     subtree_size_.resize(bound);
     leaf_count_.resize(bound);
     child_index_.resize(bound);
     value_hash_.resize(bound);
   }
   if (!orders_dirty_) {
-    post_pos_.resize(bound);
     tin_.resize(bound);
     tout_.resize(bound);
     leaf_begin_.resize(bound);

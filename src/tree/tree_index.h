@@ -33,8 +33,8 @@ uint64_t NodeValueHash(const Tree& t, NodeId x);
 /// the index, so Algorithm EditScript's in-place transform of its working
 /// tree keeps the index consistent. The index maintains three tiers:
 ///
-///  * scalar tier — depth, subtree size, leaf count, child index, value
-///    hash. Patched eagerly on each edit in O(depth * fanout), so the hot
+///  * scalar tier — subtree size, leaf count, child index, value hash.
+///    Patched eagerly on each edit in O(depth * fanout), so the hot
 ///    O(1) lookups (Tree::ChildIndex, move weights) stay valid mid-script.
 ///  * order tier — pre/post/BFS orders, Euler intervals, the leaf sequence
 ///    with per-node leaf ranges, and per-label node chains. Invalidated by
@@ -76,9 +76,6 @@ class TreeIndex {
 
   // ----- Scalar tier (O(1), eagerly patched) -----
 
-  /// Distance from the root (root = 0); -1 for dead nodes.
-  int Depth(NodeId x) const;
-
   /// Number of live nodes in the subtree rooted at `x` (including `x`);
   /// 0 for dead nodes.
   int SubtreeSize(NodeId x) const;
@@ -105,9 +102,6 @@ class TreeIndex {
 
   /// All live leaves in document order.
   const std::vector<NodeId>& Leaves() const;
-
-  /// 0-based position of `x` in PostOrder(); -1 for dead nodes.
-  int PostOrderPos(NodeId x) const;
 
   /// True if `anc` equals `desc` or is an ancestor of `desc` (both live).
   /// O(1) via Euler-tour intervals.
@@ -201,7 +195,6 @@ class TreeIndex {
   const Tree* tree_;
 
   // Scalar tier.
-  mutable std::vector<int> depth_;
   mutable std::vector<int> subtree_size_;
   mutable std::vector<int> leaf_count_;
   mutable std::vector<int> child_index_;
@@ -212,7 +205,6 @@ class TreeIndex {
   mutable std::vector<NodeId> post_order_;
   mutable std::vector<NodeId> bfs_order_;
   mutable std::vector<NodeId> leaves_;
-  mutable std::vector<int> post_pos_;
   mutable std::vector<int> tin_;
   mutable std::vector<int> tout_;
   mutable std::vector<int> leaf_begin_;

@@ -173,7 +173,7 @@ class Budget {
   /// counters) once tripped.
   Status ToStatus() const;
 
-  // ----- Counters (for DiffReport) -----
+  // ----- Counters (read by the caller after a diff) -----
 
   size_t nodes_visited() const { return nodes_; }
   size_t comparisons() const { return comparisons_; }

@@ -126,22 +126,4 @@ Status WriteAll(int fd, const void* data, size_t len) {
   }
   return Status::Ok();
 }
-
-Status ReadExact(int fd, void* data, size_t len) {
-  char* p = static_cast<char*>(data);
-  while (len > 0) {
-    const ssize_t n = ::read(fd, p, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("read");
-    }
-    if (n == 0) {
-      return Status::Unavailable("connection closed mid-frame");
-    }
-    p += n;
-    len -= static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
 }  // namespace treediff

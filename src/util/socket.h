@@ -71,11 +71,6 @@ Status SetNoDelay(int fd);
 /// Blocking write of the whole buffer (EINTR-restarted). For the simple
 /// blocking client and tools; the server never blocks on a socket.
 Status WriteAll(int fd, const void* data, size_t len);
-
-/// Blocking read of exactly `len` bytes (EINTR-restarted). Fails with
-/// kUnavailable on EOF before `len` bytes.
-Status ReadExact(int fd, void* data, size_t len);
-
 }  // namespace treediff
 
 #endif  // TREEDIFF_UTIL_SOCKET_H_

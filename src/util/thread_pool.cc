@@ -27,19 +27,6 @@ bool ThreadPool::TrySubmit(std::function<void()> task) {
   return true;
 }
 
-bool ThreadPool::Submit(std::function<void()> task) {
-  {
-    MutexLock lock(&mu_);
-    while (!shutdown_ && queue_.size() >= capacity_) {
-      not_full_.Wait(&mu_);
-    }
-    if (shutdown_) return false;
-    queue_.push_back(std::move(task));
-  }
-  not_empty_.Signal();
-  return true;
-}
-
 size_t ThreadPool::QueueDepth() const {
   MutexLock lock(&mu_);
   return queue_.size();
@@ -57,7 +44,6 @@ void ThreadPool::Shutdown() {
     claimed.swap(workers_);
   }
   not_empty_.SignalAll();
-  not_full_.SignalAll();
   for (std::thread& w : claimed) {
     if (w.joinable()) w.join();
   }
@@ -75,7 +61,6 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    not_full_.Signal();
     task();
   }
 }

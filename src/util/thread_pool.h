@@ -46,10 +46,6 @@ class ThreadPool {
   /// down; never blocks. Returns whether the task was accepted.
   bool TrySubmit(std::function<void()> task) EXCLUDES(mu_);
 
-  /// Enqueues `task`, waiting for queue space if necessary. Returns false
-  /// only when the pool is (or becomes) shut down.
-  bool Submit(std::function<void()> task) EXCLUDES(mu_);
-
   /// Tasks queued and not yet handed to a worker. A snapshot — concurrent
   /// submits and completions move it immediately.
   size_t QueueDepth() const EXCLUDES(mu_);
@@ -70,7 +66,6 @@ class ThreadPool {
   int num_threads_ = 0;
   mutable Mutex mu_;
   CondVar not_empty_;
-  CondVar not_full_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   bool shutdown_ GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_ GUARDED_BY(mu_);

@@ -28,13 +28,6 @@ bool IsBlank(std::string_view text);
 /// Joins `parts` with `sep` between consecutive elements.
 std::string JoinStrings(const std::vector<std::string>& parts,
                         std::string_view sep);
-
-/// Returns true if `text` starts with `prefix`.
-bool StartsWith(std::string_view text, std::string_view prefix);
-
-/// Returns true if `text` ends with `suffix`.
-bool EndsWith(std::string_view text, std::string_view suffix);
-
 }  // namespace treediff
 
 #endif  // TREEDIFF_UTIL_TOKENIZE_H_

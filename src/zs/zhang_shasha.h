@@ -72,11 +72,6 @@ ZsResult ZhangShasha(const Tree& t1, const Tree& t2,
 double ZhangShashaDistance(const Tree& t1, const Tree& t2,
                            const ZsOptions& options = {});
 
-/// An independent exponential-time (memoized) forest edit distance used to
-/// validate the Zhang-Shasha implementation on tiny trees (<= ~12 nodes).
-double BruteForceEditDistance(const Tree& t1, const Tree& t2,
-                              const ZsOptions& options = {});
-
 /// One move recovered from a ZS mapping: the unmapped T1 subtree `from` was
 /// deleted wholesale and an isomorphic unmapped T2 subtree `to` inserted;
 /// pricing the pair as one move saves `savings` cost units.

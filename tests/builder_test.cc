@@ -91,7 +91,11 @@ TEST(ParseSexprTest, DeepNesting) {
   auto tree = ParseSexpr(text);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), 51u);
-  EXPECT_EQ(tree->Height(), 50);
+  int depth = 0;
+  for (NodeId x = tree->root(); !tree->IsLeaf(x); x = tree->children(x)[0]) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, 50);
 }
 
 }  // namespace

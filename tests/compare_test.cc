@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "testsupport/reference.h"
 #include "tree/builder.h"
 #include "util/random.h"
 

@@ -3,12 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/diff.h"
 #include "tree/builder.h"
 
 namespace treediff {
 namespace {
+
+/// The delta nodes one active rule on `mask` and `label` fires on.
+std::vector<DeltaHit> Select(const DeltaTree& delta, const LabelTable& labels,
+                             AnnotationMask mask,
+                             LabelId label = kInvalidLabel) {
+  const std::vector<ActiveRule> rules = {{"select", mask, label, nullptr}};
+  std::vector<DeltaHit> hits;
+  for (const RuleFiring& firing : EvaluateRules(delta, labels, rules)) {
+    hits.push_back(firing.hit);
+  }
+  return hits;
+}
 
 class DeltaQueryTest : public ::testing::Test {
  protected:
@@ -41,41 +54,37 @@ class DeltaQueryTest : public ::testing::Test {
 };
 
 TEST_F(DeltaQueryTest, SelectByAnnotation) {
-  auto inserts = SelectChanges(*delta_, *labels_,
-                               MaskOf(DeltaAnnotation::kInserted));
+  auto inserts = Select(*delta_, *labels_, MaskOf(DeltaAnnotation::kInserted));
   ASSERT_EQ(inserts.size(), 1u);
   EXPECT_EQ(delta_->node(inserts[0].node).value, "fresh new sentence");
 
-  auto deletes = SelectChanges(*delta_, *labels_,
-                               MaskOf(DeltaAnnotation::kDeleted));
+  auto deletes = Select(*delta_, *labels_, MaskOf(DeltaAnnotation::kDeleted));
   ASSERT_EQ(deletes.size(), 1u);
   EXPECT_EQ(delta_->node(deletes[0].node).value, "doomed gone bye");
 
-  auto updates = SelectChanges(*delta_, *labels_,
-                               MaskOf(DeltaAnnotation::kUpdated));
+  auto updates = Select(*delta_, *labels_, MaskOf(DeltaAnnotation::kUpdated));
   ASSERT_EQ(updates.size(), 1u);
   EXPECT_EQ(delta_->node(updates[0].node).value,
             "old text words changed");
 }
 
 TEST_F(DeltaQueryTest, SelectAnyChangeSkipsIdentical) {
-  auto all = SelectChanges(*delta_, *labels_, kAnyChange);
+  auto all = Select(*delta_, *labels_, kAnyChange);
   EXPECT_EQ(all.size(), 3u);  // upd + del + ins.
 }
 
 TEST_F(DeltaQueryTest, SelectFiltersByLabel) {
   LabelId sentence = labels_->Find("S");
   ASSERT_NE(sentence, kInvalidLabel);
-  auto hits = SelectChanges(*delta_, *labels_, kAnyChange, sentence);
+  auto hits = Select(*delta_, *labels_, kAnyChange, sentence);
   EXPECT_EQ(hits.size(), 3u);
   LabelId paragraph = labels_->Find("P");
-  auto para_hits = SelectChanges(*delta_, *labels_, kAnyChange, paragraph);
+  auto para_hits = Select(*delta_, *labels_, kAnyChange, paragraph);
   EXPECT_TRUE(para_hits.empty());  // Both paragraphs matched unchanged.
 }
 
 TEST_F(DeltaQueryTest, PathsHaveSiblingOrdinals) {
-  auto inserts = SelectChanges(*delta_, *labels_,
-                               MaskOf(DeltaAnnotation::kInserted));
+  auto inserts = Select(*delta_, *labels_, MaskOf(DeltaAnnotation::kInserted));
   ASSERT_EQ(inserts.size(), 1u);
   EXPECT_EQ(inserts[0].path, "D[0]/P[1]/S[2]");
 }
@@ -146,8 +155,7 @@ TEST_F(DeltaQueryTest, MovedAndUpdatedCountsAsBoth) {
   ASSERT_TRUE(diff.ok());
   auto delta = BuildDeltaTree(t1, t2, *diff);
   ASSERT_TRUE(delta.ok());
-  auto updated = SelectChanges(*delta, *labels_,
-                               MaskOf(DeltaAnnotation::kUpdated));
+  auto updated = Select(*delta, *labels_, MaskOf(DeltaAnnotation::kUpdated));
   ASSERT_EQ(updated.size(), 1u);
   EXPECT_EQ(delta->node(updated[0].node).annotation,
             DeltaAnnotation::kMoveMarker);
@@ -159,7 +167,7 @@ TEST_F(DeltaQueryTest, MovedAndUpdatedCountsAsBoth) {
 TEST(DeltaQueryEmptyTest, EmptyDeltaYieldsNothing) {
   DeltaTree empty;
   LabelTable labels;
-  EXPECT_TRUE(SelectChanges(empty, labels, kAnyChange).empty());
+  EXPECT_TRUE(Select(empty, labels, kAnyChange).empty());
   EXPECT_TRUE(RenderChangeReport(empty, labels).empty());
   EXPECT_TRUE(EvaluateRules(empty, labels, {}).empty());
 }

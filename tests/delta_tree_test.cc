@@ -10,6 +10,15 @@
 namespace treediff {
 namespace {
 
+/// Number of delta nodes carrying `ann`.
+size_t Count(const DeltaTree& dt, DeltaAnnotation ann) {
+  size_t count = 0;
+  for (const DeltaNode& n : dt.nodes()) {
+    if (n.annotation == ann) ++count;
+  }
+  return count;
+}
+
 struct Fixture {
   std::shared_ptr<LabelTable> labels = std::make_shared<LabelTable>();
 
@@ -31,7 +40,7 @@ TEST(DeltaTreeTest, IdenticalTreesAllIdn) {
   auto dt = f.Delta(t1, t2);
   ASSERT_TRUE(dt.ok());
   EXPECT_EQ(dt->nodes().size(), 4u);
-  EXPECT_EQ(dt->CountAnnotation(DeltaAnnotation::kIdentical), 4u);
+  EXPECT_EQ(Count(*dt, DeltaAnnotation::kIdentical), 4u);
   EXPECT_EQ(dt->move_count(), 0u);
 }
 
@@ -47,7 +56,7 @@ TEST(DeltaTreeTest, InsertAnnotated) {
       "(S \"seven eight nine\") (S \"brand new here\")))");
   auto dt = f.Delta(t1, t2);
   ASSERT_TRUE(dt.ok());
-  EXPECT_EQ(dt->CountAnnotation(DeltaAnnotation::kInserted), 1u);
+  EXPECT_EQ(Count(*dt, DeltaAnnotation::kInserted), 1u);
   // The inserted node carries the new value.
   for (const DeltaNode& n : dt->nodes()) {
     if (n.annotation == DeltaAnnotation::kInserted) {
@@ -65,7 +74,7 @@ TEST(DeltaTreeTest, DeleteTombstoneAtOldPosition) {
   Tree t2 = f.Parse("(D (P (S \"first one here\") (S \"last one here\")))");
   auto dt = f.Delta(t1, t2);
   ASSERT_TRUE(dt.ok());
-  EXPECT_EQ(dt->CountAnnotation(DeltaAnnotation::kDeleted), 1u);
+  EXPECT_EQ(Count(*dt, DeltaAnnotation::kDeleted), 1u);
   // Tombstone sits between the two surviving sentences.
   const DeltaNode& para = dt->node(dt->node(dt->root()).children[0]);
   ASSERT_EQ(para.children.size(), 3u);
@@ -86,7 +95,7 @@ TEST(DeltaTreeTest, DeletedSubtreeKeptWhole) {
   auto dt = f.Delta(t1, t2);
   ASSERT_TRUE(dt.ok());
   // Whole paragraph deleted: tombstone root DEL with two DEL children.
-  EXPECT_EQ(dt->CountAnnotation(DeltaAnnotation::kDeleted), 3u);
+  EXPECT_EQ(Count(*dt, DeltaAnnotation::kDeleted), 3u);
   const DeltaNode& root = dt->node(dt->root());
   ASSERT_EQ(root.children.size(), 2u);
   const DeltaNode& dead_para = dt->node(root.children[1]);
@@ -100,7 +109,7 @@ TEST(DeltaTreeTest, UpdateKeepsOldValue) {
   Tree t2 = f.Parse("(D (P (S \"alpha beta gamma zeta\")))");
   auto dt = f.Delta(t1, t2);
   ASSERT_TRUE(dt.ok());
-  EXPECT_EQ(dt->CountAnnotation(DeltaAnnotation::kUpdated), 1u);
+  EXPECT_EQ(Count(*dt, DeltaAnnotation::kUpdated), 1u);
   for (const DeltaNode& n : dt->nodes()) {
     if (n.annotation == DeltaAnnotation::kUpdated) {
       EXPECT_EQ(n.value, "alpha beta gamma zeta");
@@ -123,8 +132,8 @@ TEST(DeltaTreeTest, MovePairsTombstoneWithMarker) {
       "(P (S \"stay put two\") (S \"stay two b\") (S \"mover goes far\")))");
   auto dt = f.Delta(t1, t2);
   ASSERT_TRUE(dt.ok());
-  EXPECT_EQ(dt->CountAnnotation(DeltaAnnotation::kMoved), 1u);
-  EXPECT_EQ(dt->CountAnnotation(DeltaAnnotation::kMoveMarker), 1u);
+  EXPECT_EQ(Count(*dt, DeltaAnnotation::kMoved), 1u);
+  EXPECT_EQ(Count(*dt, DeltaAnnotation::kMoveMarker), 1u);
   EXPECT_EQ(dt->move_count(), 1u);
   int tombstone_id = -2, marker_id = -3;
   for (const DeltaNode& n : dt->nodes()) {
@@ -180,17 +189,17 @@ TEST(DeltaTreeTest, AnnotationCountsMatchScript) {
   ASSERT_TRUE(diff.ok());
   auto dt = BuildDeltaTree(t1, t2, *diff);
   ASSERT_TRUE(dt.ok());
-  EXPECT_EQ(dt->CountAnnotation(DeltaAnnotation::kInserted),
+  EXPECT_EQ(Count(*dt, DeltaAnnotation::kInserted),
             diff->script.num_inserts());
   // Every delete op corresponds to a DEL node.
-  EXPECT_EQ(dt->CountAnnotation(DeltaAnnotation::kDeleted),
+  EXPECT_EQ(Count(*dt, DeltaAnnotation::kDeleted),
             diff->script.num_deletes());
   // Every move op corresponds to one tombstone + one marker.
-  EXPECT_EQ(dt->CountAnnotation(DeltaAnnotation::kMoved),
+  EXPECT_EQ(Count(*dt, DeltaAnnotation::kMoved),
             diff->script.num_moves());
-  EXPECT_EQ(dt->CountAnnotation(DeltaAnnotation::kMoveMarker),
+  EXPECT_EQ(Count(*dt, DeltaAnnotation::kMoveMarker),
             diff->script.num_moves());
-  EXPECT_EQ(dt->CountAnnotation(DeltaAnnotation::kUpdated),
+  EXPECT_EQ(Count(*dt, DeltaAnnotation::kUpdated),
             diff->script.num_updates());
 }
 

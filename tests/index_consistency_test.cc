@@ -37,15 +37,11 @@ void ExpectMatchesFreshRebuild(const Tree& t, const TreeIndex& patched) {
   EXPECT_EQ(patched.LeafChains(), fresh.LeafChains());
   EXPECT_EQ(patched.InternalChains(), fresh.InternalChains());
   for (NodeId x = 0; x < static_cast<NodeId>(t.id_bound()); ++x) {
-    EXPECT_EQ(patched.Depth(x), fresh.Depth(x)) << "depth of " << x;
     EXPECT_EQ(patched.SubtreeSize(x), fresh.SubtreeSize(x)) << "size of " << x;
     EXPECT_EQ(patched.LeafCount(x), fresh.LeafCount(x)) << "leaves of " << x;
     EXPECT_EQ(patched.ChildIndex(x), fresh.ChildIndex(x)) << "pos of " << x;
     EXPECT_EQ(patched.ValueHash(x), fresh.ValueHash(x)) << "vhash of " << x;
     EXPECT_EQ(patched.SubtreeHash(x), fresh.SubtreeHash(x)) << "fp of " << x;
-    if (t.Alive(x)) {
-      EXPECT_EQ(patched.PostOrderPos(x), fresh.PostOrderPos(x)) << x;
-    }
   }
   for (NodeId a : t.PreOrder()) {
     for (NodeId b : t.PreOrder()) {

@@ -166,14 +166,5 @@ TEST_F(MatcherTest, LadderEndToEndMatchesSeedSemantics) {
             static_cast<int>(DiffRung::kFastMatch));
 }
 
-TEST_F(MatcherTest, ReportCarriesTokenizeCacheCounters) {
-  auto result = DiffTrees(t1_, t2_);
-  ASSERT_TRUE(result.ok());
-  // The default WordLcsComparator tokenizes at least the unequal leaf pairs.
-  EXPECT_GT(result->report.tokenize_cache_hits +
-                result->report.tokenize_cache_misses,
-            0u);
-}
-
 }  // namespace
 }  // namespace treediff

@@ -46,15 +46,6 @@ TEST(MatchingTest, OutOfRangeLookupsAreInvalidNotFatal) {
   EXPECT_EQ(m.PartnerOfT2(99), kInvalidNode);
 }
 
-TEST(MatchingTest, EnsureT1BoundGrows) {
-  Matching m(2, 8);
-  m.EnsureT1Bound(6);
-  m.Add(5, 7);
-  EXPECT_EQ(m.PartnerOfT1(5), 7);
-  m.EnsureT1Bound(3);  // Shrinking requests are ignored.
-  EXPECT_EQ(m.PartnerOfT1(5), 7);
-}
-
 TEST(MatchingTest, PairsAscendingByT1) {
   Matching m(6, 6);
   m.Add(4, 0);

@@ -550,6 +550,33 @@ TEST(ReplicationTest, TornFollowerTailsHealByTruncateAndRetry) {
   ExpectAllVersionsServed(c.group.get(), 8);
 }
 
+TEST(ReplicationTest, FollowerAppendRetriesAreCounted) {
+  // The primary's env is clean, so every retry counted here is a
+  // follower's batch append: the group adds them to its primary's
+  // FaultCounters and to store_retries_total.
+  Cluster c;
+  FaultPlan flaky;
+  flaky.seed = 3;
+  flaky.transient_append_p = 0.3;
+  flaky.transient_sync_p = 0.3;
+  FaultInjectingEnv env1(&c.mem[1], flaky);
+  MetricsRegistry metrics;
+  ReplicationOptions options;
+  options.store_options.metrics = &metrics;
+  ASSERT_TRUE(c.Build(options, {nullptr, &env1}).ok());
+  for (int v = 1; v <= 8; ++v) {
+    ASSERT_TRUE(c.Commit(v).ok());
+    ASSERT_TRUE(c.PumpUntilCaughtUp(500));
+  }
+
+  ASSERT_GT(env1.transient_faults(), 0u);
+  const uint64_t retries =
+      c.group->primary()->fault_counters().transient_retries;
+  EXPECT_GT(retries, 0u);
+  EXPECT_EQ(metrics.counter("store_retries_total")->Value(), retries);
+  EXPECT_EQ(c.Bytes(1), c.Bytes(0));
+}
+
 TEST(ReplicationTest, MetricsRegistryMirrorsReplicationActivity) {
   Cluster c;
   MetricsRegistry metrics;

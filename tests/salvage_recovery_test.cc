@@ -94,7 +94,6 @@ int NthOfType(const std::vector<RecordLoc>& records, LogRecordType type,
 void ExpectVersionsIntact(const VersionStore& store,
                           const std::vector<int>& versions) {
   for (int v : versions) {
-    EXPECT_TRUE(store.VersionAvailable(v)) << "version " << v;
     auto tree = store.Materialize(v);
     ASSERT_TRUE(tree.ok()) << "version " << v << ": "
                            << tree.status().ToString();
@@ -154,7 +153,6 @@ TEST(SalvageRecoveryTest, MidLogCorruptionCostsOnlyTheDamagedRange) {
   // are intact; version 3 fell in the hole.
   EXPECT_EQ(store->VersionCount(), 7);
   ExpectVersionsIntact(*store, {0, 1, 2, 4, 5, 6});
-  EXPECT_FALSE(store->VersionAvailable(3));
   EXPECT_EQ(store->Materialize(3).status().code(), Code::kDataLoss);
 
   EXPECT_EQ(report.checksum_failures, 1u);
@@ -197,7 +195,7 @@ TEST(SalvageRecoveryTest, RewrittenLogReopensInDefaultMode) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened->VersionCount(), 7);
   ExpectVersionsIntact(*reopened, {0, 1, 2, 4, 5, 6});
-  EXPECT_FALSE(reopened->VersionAvailable(3));
+  EXPECT_EQ(reopened->Materialize(3).status().code(), Code::kDataLoss);
   EXPECT_EQ(report.bytes_truncated, 0u);
   EXPECT_EQ(report.checksum_failures, 0u);
   EXPECT_FALSE(report.rotated);
@@ -557,7 +555,7 @@ TEST(GoldenLogTest, FrozenV1LogSalvagesPastMidLogDamage) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_EQ(store->VersionCount(), 5);
   ExpectVersionsIntact(*store, {0, 1, 2, 4});
-  EXPECT_FALSE(store->VersionAvailable(3));
+  EXPECT_EQ(store->Materialize(3).status().code(), Code::kDataLoss);
   EXPECT_EQ(report.records_skipped, 1u);
 }
 

@@ -18,15 +18,6 @@ TEST(LabelSchemaTest, RankLookup) {
   EXPECT_EQ(schema.Rank(labels.Intern("unknown")), -1);
 }
 
-TEST(LabelSchemaTest, LabelsByRankAscending) {
-  LabelTable labels;
-  LabelSchema schema = MakeDocumentSchema(&labels);
-  std::vector<LabelId> order = schema.LabelsByRank();
-  ASSERT_EQ(order.size(), 8u);  // Incl. the "codeblock" leaf label.
-  EXPECT_EQ(schema.Rank(order.front()), 0);  // sentence or codeblock.
-  EXPECT_EQ(labels.Name(order.back()), "document");
-}
-
 TEST(LabelSchemaTest, DocumentTreeSatisfiesAcyclicity) {
   auto labels = std::make_shared<LabelTable>();
   LabelSchema schema = MakeDocumentSchema(labels.get());

@@ -60,13 +60,5 @@ TEST(JoinStringsTest, JoinsWithSeparator) {
   EXPECT_EQ(JoinStrings({"solo"}, ","), "solo");
   EXPECT_EQ(JoinStrings({}, ","), "");
 }
-
-TEST(StartsEndsWithTest, Basics) {
-  EXPECT_TRUE(StartsWith("\\section{x}", "\\section"));
-  EXPECT_FALSE(StartsWith("sec", "section"));
-  EXPECT_TRUE(EndsWith("file.tex", ".tex"));
-  EXPECT_FALSE(EndsWith("x", ".tex"));
-}
-
 }  // namespace
 }  // namespace treediff

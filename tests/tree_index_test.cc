@@ -37,10 +37,8 @@ TEST(TreeIndexTest, OrdersMatchTreeTraversals) {
 TEST(TreeIndexTest, ScalarsMatchTreeDerivedStructure) {
   Tree t = Parse(kDoc);
   TreeIndex index(t);
-  const std::vector<int> depths = t.Depths();
   const std::vector<int> leaf_counts = t.LeafCounts();
   for (NodeId x = 0; x < static_cast<NodeId>(t.id_bound()); ++x) {
-    EXPECT_EQ(index.Depth(x), depths[static_cast<size_t>(x)]) << x;
     EXPECT_EQ(index.LeafCount(x), leaf_counts[static_cast<size_t>(x)]) << x;
   }
   for (NodeId x : t.PreOrder()) {
@@ -164,11 +162,11 @@ TEST(TreeIndexTest, CopiesDoNotCarryTheIndex) {
 TEST(TreeIndexTest, SingleNodeTree) {
   Tree t = Parse("(S \"x\")");
   TreeIndex index(t);
-  EXPECT_EQ(index.Depth(t.root()), 0);
   EXPECT_EQ(index.SubtreeSize(t.root()), 1);
   EXPECT_EQ(index.LeafCount(t.root()), 1);
   EXPECT_EQ(index.ChildIndex(t.root()), -1);
   EXPECT_EQ(index.PreOrder(), std::vector<NodeId>{t.root()});
+  EXPECT_EQ(index.BfsOrder(), std::vector<NodeId>{t.root()});
   EXPECT_EQ(index.Leaves(), std::vector<NodeId>{t.root()});
   EXPECT_TRUE(index.Contains(t.root(), t.root()));
 }

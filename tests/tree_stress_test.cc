@@ -10,6 +10,7 @@
 #include "gen/doc_gen.h"
 #include "gen/edit_sim.h"
 #include "tree/tree.h"
+#include "tree/tree_index.h"
 #include "util/random.h"
 
 namespace treediff {
@@ -43,11 +44,12 @@ TEST(TreeStressTest, DeepChain) {
   const LabelId label = labels->Intern("n");
   NodeId cur = t.AddRoot(label, "");
   for (int i = 0; i < 20000; ++i) cur = t.AddChild(cur, label, "");
-  EXPECT_EQ(t.Height(), 20000);
   EXPECT_EQ(t.PostOrder().size(), 20001u);
-  Tree::EulerIntervals e = t.ComputeEuler();
-  EXPECT_TRUE(e.Contains(t.root(), cur));
-  EXPECT_FALSE(e.Contains(cur, t.root()));
+  const TreeIndex index(t);
+  EXPECT_EQ(index.BfsOrder().size(), 20001u);
+  EXPECT_EQ(index.BfsOrder().back(), cur);
+  EXPECT_TRUE(index.Contains(t.root(), cur));
+  EXPECT_FALSE(index.Contains(cur, t.root()));
   EXPECT_TRUE(t.Validate().ok());
 }
 

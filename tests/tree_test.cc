@@ -5,6 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "tree/tree_index.h"
+
 namespace treediff {
 namespace {
 
@@ -164,16 +166,8 @@ TEST_F(TreeTest, LeafCounts) {
   EXPECT_EQ(counts[static_cast<size_t>(s1_)], 1);
 }
 
-TEST_F(TreeTest, DepthsAndHeight) {
-  std::vector<int> depths = tree_.Depths();
-  EXPECT_EQ(depths[static_cast<size_t>(d_)], 0);
-  EXPECT_EQ(depths[static_cast<size_t>(p1_)], 1);
-  EXPECT_EQ(depths[static_cast<size_t>(s3_)], 2);
-  EXPECT_EQ(tree_.Height(), 2);
-}
-
 TEST_F(TreeTest, EulerIntervalsAnswerAncestry) {
-  Tree::EulerIntervals e = tree_.ComputeEuler();
+  TreeIndex e(tree_);
   EXPECT_TRUE(e.Contains(d_, s3_));
   EXPECT_TRUE(e.Contains(p1_, s1_));
   EXPECT_TRUE(e.Contains(s1_, s1_));
@@ -245,7 +239,6 @@ TEST(EmptyTreeTest, Behaviour) {
   EXPECT_EQ(t.size(), 0u);
   EXPECT_TRUE(t.BfsOrder().empty());
   EXPECT_TRUE(t.PostOrder().empty());
-  EXPECT_EQ(t.Height(), -1);
   EXPECT_TRUE(t.Validate().ok());
   EXPECT_EQ(t.ToDebugString(), "()");
 }

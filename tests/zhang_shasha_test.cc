@@ -6,7 +6,9 @@
 
 #include "gen/doc_gen.h"
 #include "gen/edit_sim.h"
+#include "testsupport/reference.h"
 #include "tree/builder.h"
+#include "tree/tree_index.h"
 #include "util/random.h"
 
 namespace treediff {
@@ -68,8 +70,8 @@ TEST(ZhangShashaTest, MappingIsValidAndOrderPreserving) {
   ZsResult r = ZhangShasha(t1, t2);
   // 1:1 and ancestor-order preserving.
   std::vector<int> seen1(t1.id_bound(), 0), seen2(t2.id_bound(), 0);
-  Tree::EulerIntervals e1 = t1.ComputeEuler();
-  Tree::EulerIntervals e2 = t2.ComputeEuler();
+  const TreeIndex e1(t1);
+  const TreeIndex e2(t2);
   for (auto [x, y] : r.mapping) {
     EXPECT_EQ(++seen1[static_cast<size_t>(x)], 1);
     EXPECT_EQ(++seen2[static_cast<size_t>(y)], 1);
