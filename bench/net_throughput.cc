@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
   // Two fresh services with identical label interning, both incremental as
   // tools/treediff_serve deploys them; every response that crosses the wire
   // must match the direct Submit path byte for byte. Each pair is sent
-  // twice, so the second round is a matching-cache hit on both sides and
-  // the reused-matching path crosses the wire too.
+  // twice, so the second round is a diff-cache hit on both sides and the
+  // cached-answer path crosses the wire too.
   {
     DiffServiceOptions so;
     so.incremental = true;

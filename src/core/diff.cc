@@ -51,12 +51,11 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   std::vector<std::pair<NodeId, NodeId>> settled;
   const bool reused = options.reuse_matching != nullptr;
   if (reused) {
-    // Chain reuse (service layer): the caller vouches that this matching was
-    // produced by a prior DiffTrees over byte-identical trees, so phase 1 is
-    // skipped outright and generation proceeds from the cached matching and
-    // the settled list that run filtered against it.
+    // The caller vouches that this matching was produced by a prior
+    // DiffTrees over byte-identical trees, so phase 1 is skipped outright
+    // and generation proceeds from the given matching. No region is
+    // settled, so generation scans every node: same script, more work.
     matching = *options.reuse_matching;
-    if (options.reuse_settled != nullptr) settled = *options.reuse_settled;
   } else {
     // The share-map pre-pass settles byte-identical subtrees wholesale
     // before the ladder runs, shrinking every matcher's working set to the
@@ -110,10 +109,9 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
   // forwards the settled list: kReference deliberately generates over the
   // full trees, so the byte-identity discipline (reference vs indexed)
   // exercises the generator's interior-skipping as well as the share-map.
-  // A reused list was filtered by the run that produced it.
   if (options.share_mode != ShareMode::kIndexed) {
     settled.clear();
-  } else if (!reused) {
+  } else {
     FilterIntactSettled(t1, t2, *matching, &settled);
   }
   report.match_seconds = timer.ElapsedSeconds();
@@ -152,7 +150,7 @@ StatusOr<DiffResult> DiffTrees(const Tree& t1, const Tree& t2,
       static_cast<int>(rung) > static_cast<int>(options.start_rung);
 
   DiffResult result{std::move(*matching), std::move(gen->script),
-                    std::move(report), std::move(settled)};
+                    std::move(report)};
   return result;
 }
 

@@ -2,8 +2,6 @@
 #define TREEDIFF_CORE_DIFF_H_
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/compare.h"
 #include "core/cost_model.h"
@@ -72,14 +70,6 @@ struct DiffResult {
 
   /// Ladder rung taken, pipeline counters and timings (see DiffReport).
   DiffReport report;
-
-  /// The settled (t1, t2) subtree root pairs whose interiors script
-  /// generation skipped: the share-map pre-pass output after
-  /// FilterIntactSettled, or DiffOptions::reuse_settled on a reuse. Empty
-  /// unless share_mode is kIndexed, and empty when generation fell back to
-  /// kTopLevelReplace. A caller that caches `matching` for
-  /// DiffOptions::reuse_matching caches this beside it.
-  std::vector<std::pair<NodeId, NodeId>> settled;
 };
 
 /// End-to-end change detection (the paper's two-phase method): computes a

@@ -2,8 +2,6 @@
 #define TREEDIFF_CORE_DIFF_CONTEXT_H_
 
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "core/compare.h"
 #include "core/cost_model.h"
@@ -136,21 +134,14 @@ struct DiffOptions {
   ShareMode share_mode = ShareMode::kOff;
 
   /// A phase-1 matching to reuse verbatim: the matcher ladder is skipped
-  /// and script generation runs directly on a copy of this matching. The
-  /// caller asserts it was produced by DiffTrees over these same two trees
-  /// (same node-id spaces) — the DiffService's matching cache replays a
-  /// prior run's matching when the same (fingerprint1, fingerprint2) pair
-  /// is served again, making the re-diff byte-identical by construction.
-  /// Must outlive the call. Ignored when null.
-  ///
-  /// The settled list travels with the matching: `reuse_settled` carries
-  /// the prior run's DiffResult::settled, so generation skips the settled
-  /// interiors on a reuse exactly as the run that produced the matching
-  /// did. It is used as given (the prior run already filtered it against
-  /// this matching) and only alongside `reuse_matching`; null means no
-  /// region is skipped, which yields the same script, only slower.
+  /// and script generation runs directly on a copy of this matching, with
+  /// no settled region skipped. The caller asserts it was produced by
+  /// DiffTrees over these same two trees (same node-id spaces), which makes
+  /// the re-diff byte-identical by construction. Must outlive the call.
+  /// Ignored when null. The service caches finished answers instead; the
+  /// perfbench replay (perfbench/driver.cc) compiles against this field
+  /// to mirror the server's cache hits.
   const Matching* reuse_matching = nullptr;
-  const std::vector<std::pair<NodeId, NodeId>>* reuse_settled = nullptr;
 };
 
 /// Everything one DiffTrees invocation shares across its stages: the two

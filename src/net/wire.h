@@ -88,7 +88,7 @@ inline constexpr uint8_t kRespFlagDegraded = 1u << 0;
 inline constexpr uint8_t kRespFlagShedDegraded = 1u << 1;
 inline constexpr uint8_t kRespFlagCacheOld = 1u << 2;
 inline constexpr uint8_t kRespFlagCacheNew = 1u << 3;
-inline constexpr uint8_t kRespFlagMatchCache = 1u << 4;
+inline constexpr uint8_t kRespFlagMatchCache = 1u << 4;  // Diff cache.
 inline constexpr uint8_t kRespFlagChainLog = 1u << 5;
 
 /// `rung` byte for responses that did not run the diff ladder.

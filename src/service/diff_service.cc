@@ -325,33 +325,32 @@ DiffResponse DiffService::SubmitSync(DiffRequest request) {
   return Submit(std::move(request)).get();
 }
 
-std::shared_ptr<const DiffService::MatchingCacheEntry>
-DiffService::LookupMatching(uint64_t key_old, uint64_t key_new,
-                            DiffRung rung) {
-  MutexLock lock(&match_cache_mu_);
-  for (auto it = match_cache_.begin(); it != match_cache_.end(); ++it) {
+std::shared_ptr<const DiffService::Answer> DiffService::LookupAnswer(
+    uint64_t key_old, uint64_t key_new, DiffRung rung) {
+  MutexLock lock(&answer_cache_mu_);
+  for (auto it = answer_cache_.begin(); it != answer_cache_.end(); ++it) {
     if (it->key_old == key_old && it->key_new == key_new &&
         it->rung == rung) {
-      match_cache_.splice(match_cache_.begin(), match_cache_, it);
-      return match_cache_.front().entry;
+      answer_cache_.splice(answer_cache_.begin(), answer_cache_, it);
+      return answer_cache_.front().answer;
     }
   }
   return nullptr;
 }
 
-void DiffService::StoreMatching(
-    uint64_t key_old, uint64_t key_new, DiffRung rung,
-    std::shared_ptr<const MatchingCacheEntry> entry) {
-  MutexLock lock(&match_cache_mu_);
-  for (const MatchingCacheSlot& slot : match_cache_) {
+void DiffService::StoreAnswer(uint64_t key_old, uint64_t key_new,
+                              DiffRung rung,
+                              std::shared_ptr<const Answer> answer) {
+  MutexLock lock(&answer_cache_mu_);
+  for (const AnswerSlot& slot : answer_cache_) {
     if (slot.key_old == key_old && slot.key_new == key_new &&
         slot.rung == rung) {
-      return;  // A concurrent request published the same matching first.
+      return;  // A concurrent request published the same answer first.
     }
   }
-  match_cache_.push_front({key_old, key_new, rung, std::move(entry)});
+  answer_cache_.push_front({key_old, key_new, rung, std::move(answer)});
   const size_t cap = std::max<size_t>(options_.matching_cache_entries, 1);
-  while (match_cache_.size() > cap) match_cache_.pop_back();
+  while (answer_cache_.size() > cap) answer_cache_.pop_back();
 }
 
 bool DiffService::ServeFromChainLog(const DiffRequest& request,
@@ -485,55 +484,54 @@ DiffResponse DiffService::Process(const DiffRequest& request,
     diff.share_mode = ShareMode::kIndexed;
   }
 
-  // Matching reuse: only for unbudgeted requests (a budget can stop phase 1
-  // anywhere, so only a full, deterministic phase-1 product is cacheable)
-  // and keyed by the content fingerprints of both trees plus the effective
-  // starting rung. The cached matching pins its tree entries, so the node
-  // ids it holds stay valid.
-  std::shared_ptr<const MatchingCacheEntry> reused;
+  // The diff cache: only unbudgeted requests read or write it (a budget can
+  // stop the pipeline anywhere, so only a full, deterministic answer is
+  // cacheable), keyed by the content fingerprints of both trees plus the
+  // effective starting rung. A hit runs neither phase.
+  std::shared_ptr<const Answer> answer;
   const bool cacheable = options_.incremental && !budgeted;
   if (cacheable) {
-    reused = LookupMatching(old_cached.key, new_cached.key, diff.start_rung);
-    if (reused != nullptr) {
-      diff.reuse_matching = &reused->matching;
-      diff.reuse_settled = &reused->settled;
-      response.matching_cache_hit = true;
-      match_cache_hits_->Increment();
-    } else {
-      match_cache_misses_->Increment();
+    answer = LookupAnswer(old_cached.key, new_cached.key, diff.start_rung);
+    (answer != nullptr ? match_cache_hits_ : match_cache_misses_)
+        ->Increment();
+  }
+  if (answer != nullptr) {
+    response.matching_cache_hit = true;
+  } else {
+    StatusOr<DiffResult> result =
+        DiffTrees(old_cached.tree, new_cached.tree, diff);
+    if (!result.ok()) {
+      response.status = result.status();
+      return finish(std::move(response));
+    }
+    prune_subtrees_->Increment(result->report.prune_settled_subtrees);
+    prune_nodes_->Increment(result->report.prune_settled_nodes);
+    prune_collisions_->Increment(result->report.prune_collisions);
+    response.degraded = result->report.degraded;
+    response.match_seconds = result->report.match_seconds;
+    response.gen_seconds = result->report.script_seconds;
+    match_h_->Observe(response.match_seconds);
+    gen_h_->Observe(response.gen_seconds);
+
+    auto fresh = std::make_shared<Answer>();
+    fresh->script = std::move(result->script);
+    fresh->labels = old_cached.tree.label_table();
+    fresh->rung = result->report.rung;
+    fresh->pruned_subtrees = result->report.prune_settled_subtrees;
+    fresh->pruned_nodes = result->report.prune_settled_nodes;
+    answer = std::move(fresh);
+    if (cacheable && !response.degraded) {
+      StoreAnswer(old_cached.key, new_cached.key, diff.start_rung, answer);
     }
   }
 
-  StatusOr<DiffResult> result =
-      DiffTrees(old_cached.tree, new_cached.tree, diff);
-  if (!result.ok()) {
-    response.status = result.status();
-    return finish(std::move(response));
-  }
-
-  if (cacheable && reused == nullptr && !result->report.degraded) {
-    StoreMatching(old_cached.key, new_cached.key, diff.start_rung,
-                  std::make_shared<MatchingCacheEntry>(
-                      *old_entry, *new_entry, std::move(result->matching),
-                      std::move(result->settled)));
-  }
-  response.pruned_subtrees = result->report.prune_settled_subtrees;
-  response.pruned_nodes = result->report.prune_settled_nodes;
-  prune_subtrees_->Increment(result->report.prune_settled_subtrees);
-  prune_nodes_->Increment(result->report.prune_settled_nodes);
-  prune_collisions_->Increment(result->report.prune_collisions);
-
-  response.rung = result->report.rung;
-  response.degraded = result->report.degraded;
-  response.operations = result->script.size();
-  response.match_seconds = result->report.match_seconds;
-  response.gen_seconds = result->report.script_seconds;
-  match_h_->Observe(response.match_seconds);
-  gen_h_->Observe(response.gen_seconds);
+  response.rung = answer->rung;
+  response.operations = answer->script.size();
+  response.pruned_subtrees = answer->pruned_subtrees;
+  response.pruned_nodes = answer->pruned_nodes;
   rung_counters_[static_cast<int>(response.rung)]->Increment();
   if (request.want_script_text) {
-    response.script =
-        FormatEditScript(result->script, old_cached.tree.labels());
+    response.script = FormatEditScript(answer->script, *answer->labels);
   }
   return finish(std::move(response));
 }
@@ -664,11 +662,14 @@ StatusOr<int> DiffService::RecoverStore(const std::string& doc_id,
     }
   }
   const StatusOr<Tree> base = ParseDoc(base_doc, format);
-  StatusOr<std::unique_ptr<ReplicatedVersionStore>> group = base.status();
-  if (base.ok()) {
-    group = ReplicatedVersionStore::Open(std::move(replicas), *base,
-                                         options_.diff, GroupOptions(ack_mode));
+  if (!base.ok()) {
+    WriterMutexLock lock(&stores_mu_);
+    recovering_.erase(doc_id);
+    return base.status();
   }
+  StatusOr<std::unique_ptr<ReplicatedVersionStore>> group =
+      ReplicatedVersionStore::Open(std::move(replicas), *base, options_.diff,
+                                   GroupOptions(ack_mode));
   const int head = group.ok() ? (*group)->primary()->VersionCount() - 1 : 0;
   WriterMutexLock lock(&stores_mu_);
   recovering_.erase(doc_id);

@@ -74,15 +74,17 @@ struct DiffResponse {
   bool cache_hit_new = false;
 
   /// Incremental-serving provenance (DiffServiceOptions::incremental).
-  bool matching_cache_hit = false;  // Phase 1 reused a cached matching.
+  /// `matching_cache_hit` (a name the wire and its clients keep): answered
+  /// from the diff cache, so neither phase ran.
+  bool matching_cache_hit = false;
   bool chain_log_hit = false;       // Answered from the store's commit log.
   size_t pruned_subtrees = 0;       // Share-map pre-pass wholesale matches.
   size_t pruned_nodes = 0;          // Nodes settled by those matches.
 
   double queue_seconds = 0.0;    // Submit -> worker pickup.
   double resolve_seconds = 0.0;  // Parse / materialize / cache fetch.
-  double match_seconds = 0.0;    // Phase 1 (matching).
-  double gen_seconds = 0.0;      // Phase 2 (edit-script generation).
+  double match_seconds = 0.0;    // Phase 1 (matching); 0 on a cache hit.
+  double gen_seconds = 0.0;      // Phase 2 (generation); 0 on a cache hit.
   double total_seconds = 0.0;    // Submit -> response.
 };
 
@@ -125,19 +127,20 @@ struct DiffServiceOptions {
 
   /// Incremental serving. When on, every request runs the share-map
   /// pre-pass (DiffOptions::share_mode = kIndexed) so matching and
-  /// generation cost track the edit rather than the document; unbudgeted
-  /// requests additionally reuse the phase-1 matching of an earlier request
-  /// over the same (old, new) content fingerprints; and a stored-mode
-  /// request for adjacent versions (from = to - 1) is answered straight
-  /// from the version store's commit log — the stored delta *is* the
-  /// authoritative diff (Materialize replays it), so no pipeline runs at
-  /// all. Off by default: the service then behaves byte-identically to the
-  /// plain pipeline.
+  /// generation cost track the edit rather than the document; an unbudgeted
+  /// request over the same (old, new) content fingerprints and start rung
+  /// as an earlier one is answered from the diff cache, with no pipeline
+  /// run; and a stored-mode request for adjacent versions (from = to - 1)
+  /// is answered straight from the version store's commit log — the stored
+  /// delta *is* the authoritative diff (Materialize replays it), so no
+  /// pipeline runs at all. Off by default: the service then behaves
+  /// byte-identically to the plain pipeline.
   bool incremental = false;
 
-  /// Capacity of the (old fingerprint, new fingerprint, rung)-keyed
-  /// phase-1 matching cache used when `incremental` is on. Entries pin
-  /// their tree-cache entries, so size this in tens, not thousands.
+  /// Capacity, in entries, of the (old fingerprint, new fingerprint,
+  /// rung)-keyed diff cache used when `incremental` is on. An entry holds
+  /// one finished edit script, not the trees; lookups scan every entry, so
+  /// size this in tens, not thousands.
   size_t matching_cache_entries = 64;
 
   /// Period of the background scrubber, which re-verifies the log
@@ -306,34 +309,29 @@ class DiffService {
   DiffResponse Process(const DiffRequest& request, Clock::time_point submitted,
                        bool shed_degraded);
 
-  /// One cached phase-1 matching and the settled list generation used with
-  /// it (DiffResult::settled), so a hit skips the settled interiors too.
-  /// The entry pins both tree-cache entries: the node ids are only
-  /// meaningful against exactly those trees, and pinning them keeps the ids
-  /// valid for the entry's lifetime.
-  struct MatchingCacheEntry {
-    std::shared_ptr<const CachedTree> old_tree;
-    std::shared_ptr<const CachedTree> new_tree;
-    Matching matching;
-    std::vector<std::pair<NodeId, NodeId>> settled;
-    MatchingCacheEntry(std::shared_ptr<const CachedTree> o,
-                       std::shared_ptr<const CachedTree> n, Matching m,
-                       std::vector<std::pair<NodeId, NodeId>> s)
-        : old_tree(std::move(o)), new_tree(std::move(n)),
-          matching(std::move(m)), settled(std::move(s)) {}
+  /// One finished answer: what a response needs, with the label table its
+  /// script formats against (the old tree's). The diff cache holds only
+  /// undegraded ones, and they hold no tree, so they pin no tree-cache
+  /// entry.
+  struct Answer {
+    EditScript script;
+    std::shared_ptr<const LabelTable> labels;
+    DiffRung rung = DiffRung::kFastMatch;
+    size_t pruned_subtrees = 0;
+    size_t pruned_nodes = 0;
   };
 
-  /// The cached matching for (old fingerprint, new fingerprint, rung), or
+  /// The cached answer for (old fingerprint, new fingerprint, rung), or
   /// null. A hit is moved to the front of the LRU list.
-  std::shared_ptr<const MatchingCacheEntry> LookupMatching(
-      uint64_t key_old, uint64_t key_new, DiffRung rung)
-      EXCLUDES(match_cache_mu_);
+  std::shared_ptr<const Answer> LookupAnswer(uint64_t key_old,
+                                             uint64_t key_new, DiffRung rung)
+      EXCLUDES(answer_cache_mu_);
 
-  /// Publishes a phase-1 matching under its key, evicting the LRU tail
-  /// beyond DiffServiceOptions::matching_cache_entries.
-  void StoreMatching(uint64_t key_old, uint64_t key_new, DiffRung rung,
-                     std::shared_ptr<const MatchingCacheEntry> entry)
-      EXCLUDES(match_cache_mu_);
+  /// Publishes an answer under its key, evicting the LRU tail beyond
+  /// DiffServiceOptions::matching_cache_entries.
+  void StoreAnswer(uint64_t key_old, uint64_t key_new, DiffRung rung,
+                   std::shared_ptr<const Answer> answer)
+      EXCLUDES(answer_cache_mu_);
 
   /// Serve-from-log: answers an adjacent stored-mode request (from = to-1)
   /// directly from the store's commit log. Returns true and fills
@@ -391,17 +389,17 @@ class DiffService {
   /// Ids claimed by a RecoverStore in progress.
   std::set<std::string> recovering_ GUARDED_BY(stores_mu_);
 
-  /// Phase-1 matching cache (incremental serving). A plain mutex + intrusive
-  /// LRU list: the capacity is tens of entries, so a linear key scan beats
-  /// hash-map bookkeeping and keeps eviction trivial.
-  struct MatchingCacheSlot {
+  /// The diff cache (incremental serving). A plain mutex + LRU list: the
+  /// capacity is tens of entries, so a linear key scan beats hash-map
+  /// bookkeeping and keeps eviction trivial.
+  struct AnswerSlot {
     uint64_t key_old = 0;
     uint64_t key_new = 0;
     DiffRung rung = DiffRung::kFastMatch;
-    std::shared_ptr<const MatchingCacheEntry> entry;
+    std::shared_ptr<const Answer> answer;
   };
-  Mutex match_cache_mu_;
-  std::list<MatchingCacheSlot> match_cache_ GUARDED_BY(match_cache_mu_);
+  Mutex answer_cache_mu_;
+  std::list<AnswerSlot> answer_cache_ GUARDED_BY(answer_cache_mu_);
 
   /// Background scrubber (running only when scrub_interval_seconds > 0;
   /// Shutdown stops and joins it before the worker pool).

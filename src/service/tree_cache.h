@@ -41,10 +41,12 @@ struct CachedTree {
 /// handed out as shared_ptr<const CachedTree>, so eviction never invalidates
 /// a request that is still diffing against the entry.
 ///
-/// Keys are 64-bit content fingerprints (FNV-1a of the document text folded
-/// with its CRC-32C — two independent hashes). Distinct documents collide
-/// with probability ~2^-64, which the service accepts, as content-addressed
-/// stores do.
+/// Keys are 64-bit content fingerprints (HashValueBytes, i.e. XXH64, of the
+/// document text folded with its CRC-32C — two independent hashes).
+/// Distinct documents collide with probability ~2^-64, which the service
+/// accepts, as content-addressed stores do. The same keys address the
+/// service's answer cache (DiffService), so a collision would serve another
+/// document's tree and another pair's script alike.
 class TreeCache {
  public:
   struct Options {

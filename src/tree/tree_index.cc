@@ -1,6 +1,8 @@
 #include "tree/tree_index.h"
 
+#include <bit>
 #include <cassert>
+#include <cstring>
 #include <utility>
 
 namespace treediff {
@@ -19,15 +21,89 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
+// XXH64's primes.
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+/// Unaligned little-endian loads (any start alignment is fine).
+inline uint64_t Read64(const unsigned char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+inline uint32_t Read32(const unsigned char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
+
+inline uint64_t Round(uint64_t acc, uint64_t input) {
+  acc += input * kPrime2;
+  return std::rotl(acc, 31) * kPrime1;
+}
+
+inline uint64_t MergeRound(uint64_t acc, uint64_t lane) {
+  acc ^= Round(0, lane);
+  return acc * kPrime1 + kPrime4;
+}
+
 }  // namespace
 
 uint64_t HashValueBytes(std::string_view bytes) {
-  // 64-bit FNV-1a.
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
+  // XXH64 with seed 0: four independent lanes over 32-byte stripes, then
+  // the 8/4/1-byte tail and a final avalanche.
+  const unsigned char* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  const unsigned char* const end = p + bytes.size();
+  uint64_t h;
+  if (bytes.size() >= 32) {
+    uint64_t v1 = kPrime1 + kPrime2;
+    uint64_t v2 = kPrime2;
+    uint64_t v3 = 0;
+    uint64_t v4 = 0 - kPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = Round(v1, Read64(p));
+      v2 = Round(v2, Read64(p + 8));
+      v3 = Round(v3, Read64(p + 16));
+      v4 = Round(v4, Read64(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = MergeRound(h, v1);
+    h = MergeRound(h, v2);
+    h = MergeRound(h, v3);
+    h = MergeRound(h, v4);
+  } else {
+    h = kPrime5;
   }
+  h += bytes.size();
+  for (; end - p >= 8; p += 8) {
+    h ^= Round(0, Read64(p));
+    h = std::rotl(h, 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    h ^= static_cast<uint64_t>(Read32(p)) * kPrime1;
+    h = std::rotl(h, 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h ^= static_cast<uint64_t>(*p) * kPrime5;
+    h = std::rotl(h, 11) * kPrime1;
+  }
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
   return h;
 }
 

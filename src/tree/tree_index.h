@@ -10,11 +10,13 @@
 
 namespace treediff {
 
-/// Hash of a value string (64-bit FNV-1a). This is the one hash function the
-/// whole pipeline keys on: TreeIndex::ValueHash precomputes it per node, the
-/// comparators key their caches on it, and the structural matcher folds it
-/// into subtree fingerprints. Deterministic across processes (unlike
-/// std::hash), so hashes are comparable between indexed and unindexed trees.
+/// Hash of a value string: XXH64 (seed 0), which reads eight bytes at a
+/// time over four independent lanes. This is the one byte hash in the code
+/// base: TreeIndex::ValueHash precomputes it per node, the comparators key
+/// their caches on it, the structural matcher folds it into subtree
+/// fingerprints, and the service's TreeCache fingerprints request text with
+/// it. Deterministic across processes (unlike std::hash), so hashes are
+/// comparable between indexed and unindexed trees. No hash is persisted.
 uint64_t HashValueBytes(std::string_view bytes);
 
 /// The value hash of node `x`: served from the tree's attached TreeIndex

@@ -1,6 +1,6 @@
 // Incremental serving (DiffServiceOptions::incremental): the share-map
 // pre-pass prunes unchanged subtrees on every request, repeat requests over
-// the same content fingerprints reuse the cached phase-1 matching, and
+// the same content fingerprints are answered from the diff cache, and
 // adjacent stored-version diffs are answered straight from the commit log.
 // Each layer must be an observable accelerant (hit flags, PRUNE metrics)
 // and must serve byte-identical scripts to the cold path.
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,8 @@
 #include "gen/edit_sim.h"
 #include "gen/vocab.h"
 #include "service/diff_service.h"
+#include "tree/builder.h"
+#include "util/fault_env.h"
 
 namespace treediff {
 namespace {
@@ -82,7 +85,7 @@ TEST(IncrementalServiceTest, RepeatRequestHitsTheMatchingCache) {
       service.SubmitSync(InlineRequest(kBase, kEdited));
   ASSERT_TRUE(second.status.ok());
   EXPECT_TRUE(second.matching_cache_hit);
-  // Byte-identical serving: a reused matching must reproduce the script.
+  // Byte-identical serving: a cached answer is the first answer.
   EXPECT_EQ(second.script, first.script);
   EXPECT_EQ(second.operations, first.operations);
   EXPECT_EQ(service.metrics().counter("diff_match_cache_hits_total")->Value(),
@@ -105,7 +108,7 @@ TEST(IncrementalServiceTest, BudgetedRequestsBypassTheMatchingCache) {
   again.node_cap = 1u << 20;
   const DiffResponse second = service.SubmitSync(again);
   ASSERT_TRUE(second.status.ok());
-  // A budgeted run may degrade, so its matching is neither stored nor
+  // A budgeted run may degrade, so its answer is neither stored nor
   // reused — correctness over cleverness.
   EXPECT_FALSE(second.matching_cache_hit);
   EXPECT_EQ(service.metrics().counter("diff_match_cache_hits_total")->Value(),
@@ -201,51 +204,299 @@ TEST(IncrementalServiceTest, ConcurrentIncrementalSubmitsStayConsistent) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(failures[t], 0) << "thread " << t;
   }
-  // Every inline pair after the first should have hit the matching cache.
+  // Every inline pair after the first should have hit the diff cache.
   EXPECT_GE(service.metrics().counter("diff_match_cache_hits_total")->Value(),
             static_cast<uint64_t>(kThreads * kPerThread / 2 - kThreads));
 }
 
+/// Three generated versions of a 4-section document with moved and edited
+/// sections, as s-expression text: base, then two successive edits.
+std::vector<std::string> GeneratedVersions(uint64_t seed) {
+  Vocabulary vocab(400, 1.0);
+  Rng rng(seed);
+  DocGenParams params;
+  params.sections = 4;
+  params.duplicate_sentence_probability = 0.2;
+  auto labels = std::make_shared<LabelTable>();
+  EditMix mix;
+  mix.move_paragraph = 0.2;
+  mix.move_sentence = 0.2;
+  mix.move_section = 0.1;
+  std::vector<Tree> versions;
+  versions.push_back(GenerateDocument(params, vocab, &rng, labels));
+  for (int v = 1; v <= 2; ++v) {
+    versions.push_back(
+        SimulateNewVersion(versions.back(), 6, mix, vocab, &rng).new_tree);
+  }
+  std::vector<std::string> texts;
+  for (const Tree& t : versions) texts.push_back(t.ToDebugString());
+  return texts;
+}
+
+/// A hit must hand back everything the miss answered: script bytes, op
+/// count, rung and the miss's prune counts.
+void ExpectHitRepeatsMiss(const DiffResponse& miss, const DiffResponse& hit,
+                          uint64_t seed) {
+  ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
+  ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
+  EXPECT_FALSE(miss.matching_cache_hit) << "seed " << seed;
+  EXPECT_TRUE(hit.matching_cache_hit) << "seed " << seed;
+  EXPECT_GT(miss.pruned_subtrees, 0u) << "seed " << seed;
+  EXPECT_EQ(hit.script, miss.script) << "seed " << seed;
+  EXPECT_EQ(hit.operations, miss.operations) << "seed " << seed;
+  EXPECT_EQ(hit.rung, miss.rung) << "seed " << seed;
+  EXPECT_EQ(hit.pruned_subtrees, miss.pruned_subtrees) << "seed " << seed;
+  EXPECT_EQ(hit.pruned_nodes, miss.pruned_nodes) << "seed " << seed;
+}
+
 TEST(IncrementalServiceTest, RepeatedGeneratedDiffsHitWithTheSameScript) {
-  // The hot path of a repeat kDiff: both trees and the matching come from
-  // the caches, and the settled list cached with the matching lets
-  // generation skip the unchanged regions again. Over generated documents
-  // with moved and edited sections every hit must serve the miss's script
-  // byte for byte.
+  // The hot path of a repeat kDiff: both trees come from the tree cache and
+  // the answer from the diff cache. Over generated documents with moved
+  // and edited sections every hit must serve the miss's answer.
+  constexpr uint64_t kSeeds = 32;
   DiffServiceOptions options;
   options.num_threads = 2;
   options.incremental = true;
   DiffService service(options);
-  Vocabulary vocab(400, 1.0);
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed);
-    DocGenParams params;
-    params.sections = 4;
-    params.duplicate_sentence_probability = 0.2;
-    auto labels = std::make_shared<LabelTable>();
-    const Tree base = GenerateDocument(params, vocab, &rng, labels);
-    EditMix mix;
-    mix.move_paragraph = 0.2;
-    mix.move_sentence = 0.2;
-    mix.move_section = 0.1;
-    const Tree edited =
-        SimulateNewVersion(base, 6, mix, vocab, &rng).new_tree;
-    const DiffRequest request =
-        InlineRequest(base.ToDebugString(), edited.ToDebugString());
-
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const std::vector<std::string> texts = GeneratedVersions(seed);
+    const DiffRequest request = InlineRequest(texts[0], texts[1]);
     const DiffResponse miss = service.SubmitSync(request);
-    ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
-    EXPECT_FALSE(miss.matching_cache_hit) << "seed " << seed;
-    EXPECT_GT(miss.pruned_subtrees, 0u) << "seed " << seed;
     const DiffResponse hit = service.SubmitSync(request);
-    ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
-    EXPECT_TRUE(hit.matching_cache_hit) << "seed " << seed;
+    ExpectHitRepeatsMiss(miss, hit, seed);
     EXPECT_TRUE(hit.cache_hit_old && hit.cache_hit_new) << "seed " << seed;
-    EXPECT_EQ(hit.operations, miss.operations) << "seed " << seed;
-    EXPECT_EQ(hit.script, miss.script) << "seed " << seed;
   }
   EXPECT_EQ(service.metrics().counter("diff_match_cache_hits_total")->Value(),
-            8u);
+            kSeeds);
+}
+
+TEST(IncrementalServiceTest, RepeatedStoredDiffsHitWithTheSameScript) {
+  // Stored mode keys the cache by (doc_id, version, epoch). Versions 0 and
+  // 2 are not adjacent, so the pipeline (not the commit log) answers.
+  constexpr uint64_t kSeeds = 32;
+  DiffServiceOptions options;
+  options.num_threads = 2;
+  options.incremental = true;
+  DiffService service(options);
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const std::vector<std::string> texts = GeneratedVersions(seed);
+    const std::string doc = "doc" + std::to_string(seed);
+    ASSERT_TRUE(service.CreateStore(doc, texts[0]).ok());
+    ASSERT_TRUE(service.CommitVersion(doc, texts[1]).ok());
+    ASSERT_TRUE(service.CommitVersion(doc, texts[2]).ok());
+    DiffRequest request;
+    request.doc_id = doc;
+    request.from_version = 0;
+    request.to_version = 2;
+    const DiffResponse miss = service.SubmitSync(request);
+    const DiffResponse hit = service.SubmitSync(request);
+    ExpectHitRepeatsMiss(miss, hit, seed);
+    EXPECT_FALSE(hit.chain_log_hit) << "seed " << seed;
+  }
+  EXPECT_EQ(service.metrics().counter("diff_match_cache_hits_total")->Value(),
+            kSeeds);
+}
+
+TEST(IncrementalServiceTest, HitFormatsTextAMissLeftUnformatted) {
+  // The cache stores the script, not its text: a first request that asked
+  // for no text still lets a later one get the text an uncached diff
+  // would have formatted.
+  const std::vector<std::string> texts = GeneratedVersions(3);
+  DiffServiceOptions options;
+  options.num_threads = 2;
+  options.incremental = true;
+
+  DiffService uncached(options);
+  const DiffResponse expected =
+      uncached.SubmitSync(InlineRequest(texts[0], texts[1]));
+  ASSERT_TRUE(expected.status.ok()) << expected.status.ToString();
+  ASSERT_FALSE(expected.script.empty());
+
+  DiffService service(options);
+  DiffRequest quiet = InlineRequest(texts[0], texts[1]);
+  quiet.want_script_text = false;
+  const DiffResponse first = service.SubmitSync(quiet);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_TRUE(first.script.empty());
+  EXPECT_FALSE(first.matching_cache_hit);
+  const DiffResponse second =
+      service.SubmitSync(InlineRequest(texts[0], texts[1]));
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_TRUE(second.matching_cache_hit);
+  EXPECT_EQ(second.script, expected.script);
+  EXPECT_EQ(second.operations, expected.operations);
+}
+
+TEST(IncrementalServiceTest, BudgetedAndShedRequestsReadNoOtherRungsEntry) {
+  // One worker, a queue of 4, pressure from half full: a request admitted
+  // behind two queued ones starts at kKeyedStructural.
+  DiffServiceOptions options;
+  options.num_threads = 1;
+  options.queue_capacity = 4;
+  options.degrade_queue_fraction = 0.5;
+  options.incremental = true;
+  DiffService service(options);
+  const DiffRequest request = InlineRequest(kBase, kEdited);
+
+  const DiffResponse stored = service.SubmitSync(request);
+  ASSERT_TRUE(stored.status.ok()) << stored.status.ToString();
+  ASSERT_EQ(stored.rung, DiffRung::kFastMatch);
+  ASSERT_TRUE(service.SubmitSync(request).matching_cache_hit);
+  Counter* hits = service.metrics().counter("diff_match_cache_hits_total");
+  Counter* misses = service.metrics().counter("diff_match_cache_misses_total");
+  const uint64_t hits_before = hits->Value();
+  const uint64_t misses_before = misses->Value();
+
+  // A budgeted request neither reads nor writes the cache.
+  DiffRequest budgeted = request;
+  budgeted.node_cap = 1u << 20;
+  const DiffResponse b = service.SubmitSync(budgeted);
+  ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+  EXPECT_FALSE(b.matching_cache_hit);
+  EXPECT_EQ(b.script, stored.script);
+  EXPECT_EQ(hits->Value(), hits_before);
+  EXPECT_EQ(misses->Value(), misses_before);
+
+  // Hold the only worker inside a completion callback, queue two requests
+  // behind it, then admit the same pair under pressure.
+  std::promise<void> picked_up;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  service.Submit(request, [&picked_up, released](DiffResponse) {
+    picked_up.set_value();
+    released.wait();
+  });
+  picked_up.get_future().wait();
+  std::future<DiffResponse> filler1 = service.Submit(request);
+  std::future<DiffResponse> filler2 = service.Submit(request);
+  std::future<DiffResponse> pressed = service.Submit(request);
+  release.set_value();
+  const DiffResponse shed = pressed.get();
+  ASSERT_TRUE(filler1.get().status.ok());
+  ASSERT_TRUE(filler2.get().status.ok());
+  ASSERT_TRUE(shed.status.ok()) << shed.status.ToString();
+  ASSERT_TRUE(shed.shed_degraded);
+  // Keyed at its lowered rung, the pressed request misses the kFastMatch
+  // entry and answers at its own rung...
+  EXPECT_FALSE(shed.matching_cache_hit);
+  EXPECT_EQ(shed.rung, DiffRung::kKeyedStructural);
+  EXPECT_FALSE(shed.degraded);
+  // ...which a request asking for that rung then reads.
+  DiffRequest keyed = request;
+  keyed.start_rung = DiffRung::kKeyedStructural;
+  const DiffResponse keyed_hit = service.SubmitSync(keyed);
+  EXPECT_TRUE(keyed_hit.matching_cache_hit);
+  EXPECT_EQ(keyed_hit.script, shed.script);
+  EXPECT_EQ(keyed_hit.rung, DiffRung::kKeyedStructural);
+}
+
+TEST(IncrementalServiceTest, DegradedAnswersAreNeverStored) {
+  DiffServiceOptions options;
+  options.num_threads = 1;
+  options.incremental = true;
+  DiffService service(options);
+  const std::vector<std::string> texts = GeneratedVersions(5);
+
+  DiffRequest starved = InlineRequest(texts[0], texts[1]);
+  starved.node_cap = 1;
+  const DiffResponse degraded = service.SubmitSync(starved);
+  ASSERT_TRUE(degraded.status.ok()) << degraded.status.ToString();
+  ASSERT_TRUE(degraded.degraded);
+
+  const DiffResponse full =
+      service.SubmitSync(InlineRequest(texts[0], texts[1]));
+  ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+  EXPECT_FALSE(full.matching_cache_hit);
+  EXPECT_FALSE(full.degraded);
+  EXPECT_EQ(full.rung, DiffRung::kFastMatch);
+}
+
+TEST(IncrementalServiceTest, FailoverEpochBumpMissesStoredPairs) {
+  MemEnv envs[2];
+  ReplicationOptions repl;
+  repl.background_ship = false;
+  repl.ack_mode = AckMode::kQuorum;
+  repl.store_options.sleep = [](double) {};
+  const std::vector<std::string> texts = GeneratedVersions(7);
+  auto labels = std::make_shared<LabelTable>();
+  StatusOr<Tree> base = ParseSexpr(texts[0], labels);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  auto group = ReplicatedVersionStore::Create(
+      {ReplicaConfig{&envs[0], "p.log"}, ReplicaConfig{&envs[1], "f.log"}},
+      std::move(*base), {}, repl);
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
+  std::shared_ptr<ReplicatedVersionStore> shared = std::move(*group);
+
+  DiffServiceOptions options;
+  options.num_threads = 1;
+  options.incremental = true;
+  DiffService service(options);
+  ASSERT_TRUE(service.AttachStore("doc", shared).ok());
+  ASSERT_TRUE(service.CommitVersion("doc", texts[1]).ok());
+  ASSERT_TRUE(service.CommitVersion("doc", texts[2]).ok());
+  DiffRequest request;
+  request.doc_id = "doc";
+  request.from_version = 0;
+  request.to_version = 2;
+  const DiffResponse miss = service.SubmitSync(request);
+  ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
+  ASSERT_TRUE(service.SubmitSync(request).matching_cache_hit);
+
+  const uint64_t epoch = shared->epoch();
+  ASSERT_TRUE(shared->Promote().ok());
+  ASSERT_GT(shared->epoch(), epoch);
+  const DiffResponse after = service.SubmitSync(request);
+  ASSERT_TRUE(after.status.ok()) << after.status.ToString();
+  EXPECT_FALSE(after.matching_cache_hit);
+  EXPECT_FALSE(after.cache_hit_old || after.cache_hit_new);
+  EXPECT_EQ(after.script, miss.script);
+}
+
+TEST(IncrementalServiceTest, CacheHoldsMatchingCacheEntriesAnswers) {
+  constexpr size_t kEntries = 4;
+  DiffServiceOptions options;
+  options.num_threads = 1;
+  options.incremental = true;
+  options.matching_cache_entries = kEntries;
+  DiffService service(options);
+  std::vector<DiffRequest> pairs;
+  for (size_t i = 0; i <= kEntries; ++i) {
+    pairs.push_back(InlineRequest(
+        kBase, "(D (P (S \"pair " + std::to_string(i) + "\")))"));
+  }
+  auto hit = [&](size_t i) {
+    const DiffResponse r = service.SubmitSync(pairs[i]);
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    return r.matching_cache_hit;
+  };
+  for (size_t i = 0; i < kEntries; ++i) EXPECT_FALSE(hit(i)) << i;
+  // A hit refreshes pair 0, so pair 1 is now the least recently used.
+  EXPECT_TRUE(hit(0));
+  // A fifth pair evicts pair 1; the other four stay.
+  EXPECT_FALSE(hit(kEntries));
+  for (size_t i : {size_t{0}, size_t{2}, size_t{3}, kEntries}) {
+    EXPECT_TRUE(hit(i)) << i;
+  }
+  EXPECT_FALSE(hit(1));
+}
+
+TEST(IncrementalServiceTest, HitsAddNoPhaseTimings) {
+  DiffServiceOptions options;
+  options.num_threads = 1;
+  options.incremental = true;
+  DiffService service(options);
+  Histogram* gen = service.metrics().histogram("diff_gen_seconds");
+  Histogram* match = service.metrics().histogram("diff_match_seconds");
+  const DiffResponse miss = service.SubmitSync(InlineRequest(kBase, kEdited));
+  ASSERT_TRUE(miss.status.ok());
+  EXPECT_EQ(gen->Count(), 1u);
+  EXPECT_EQ(match->Count(), 1u);
+  const DiffResponse hit = service.SubmitSync(InlineRequest(kBase, kEdited));
+  ASSERT_TRUE(hit.matching_cache_hit);
+  EXPECT_EQ(gen->Count(), 1u);
+  EXPECT_EQ(match->Count(), 1u);
+  EXPECT_EQ(hit.gen_seconds, 0.0);
+  EXPECT_EQ(hit.match_seconds, 0.0);
 }
 
 /// A stored-mode chain like the deployed benchmark's: a 64-section document

@@ -218,14 +218,12 @@ TEST(ReuseMatchingTest, ReusedMatchingSkipsPhaseOneAndMatchesByteForByte) {
             FormatEditScript(fresh->script, t1.labels()));
 }
 
-TEST(ReuseMatchingTest, CarriedSettledListReproducesTheFreshRun) {
-  // A matching-cache hit hands back the settled list with the matching, so
-  // the reused run skips the same interiors as the fresh run. Across a
-  // move-heavy sweep it must report the fresh run's settled list and emit a
-  // byte-identical script — and so must a reuse without the list, which
-  // scans every node: the skip changes cost, never the script. The hit also
-  // reports the fresh run's e and moves by kind, which the script cannot
-  // count itself.
+TEST(ReuseMatchingTest, ReusedMatchingReproducesTheFreshRunAcrossSeeds) {
+  // A reused matching settles no region, so generation scans every node;
+  // across a move-heavy sweep it must still emit the fresh run's script
+  // byte for byte: skipping settled interiors changes cost, never the
+  // script. The reuse also reports the fresh run's e and moves by kind,
+  // which the script cannot count itself.
   Vocabulary vocab(300, 1.0);
   size_t seeds_with_settled = 0;
   size_t seeds_with_moves = 0;
@@ -244,16 +242,14 @@ TEST(ReuseMatchingTest, CarriedSettledListReproducesTheFreshRun) {
     ASSERT_TRUE(fresh.ok()) << "seed " << seed;
     const std::string fresh_script =
         FormatEditScript(fresh->script, t1.labels());
-    if (!fresh->settled.empty()) ++seeds_with_settled;
+    if (fresh->report.prune_settled_subtrees > 0) ++seeds_with_settled;
     if (fresh->script.num_moves() > 0) ++seeds_with_moves;
 
-    DiffOptions carried;
-    carried.share_mode = ShareMode::kIndexed;
-    carried.reuse_matching = &fresh->matching;
-    carried.reuse_settled = &fresh->settled;
-    auto hit = DiffTrees(t1, t2, carried);
+    DiffOptions reuse;
+    reuse.share_mode = ShareMode::kIndexed;
+    reuse.reuse_matching = &fresh->matching;
+    auto hit = DiffTrees(t1, t2, reuse);
     ASSERT_TRUE(hit.ok()) << "seed " << seed;
-    EXPECT_EQ(hit->settled, fresh->settled) << "seed " << seed;
     EXPECT_EQ(FormatEditScript(hit->script, t1.labels()), fresh_script)
         << "seed " << seed;
     EXPECT_EQ(hit->report.weighted_edit_distance,
@@ -263,37 +259,9 @@ TEST(ReuseMatchingTest, CarriedSettledListReproducesTheFreshRun) {
         << "seed " << seed;
     EXPECT_EQ(hit->report.inter_parent_moves, fresh->report.inter_parent_moves)
         << "seed " << seed;
-
-    DiffOptions bare = carried;
-    bare.reuse_settled = nullptr;
-    auto unpruned = DiffTrees(t1, t2, bare);
-    ASSERT_TRUE(unpruned.ok()) << "seed " << seed;
-    EXPECT_TRUE(unpruned->settled.empty());
-    EXPECT_EQ(FormatEditScript(unpruned->script, t1.labels()), fresh_script)
-        << "seed " << seed;
   }
   EXPECT_GT(seeds_with_settled, 16u);
   EXPECT_GT(seeds_with_moves, 0u);
-}
-
-TEST(ReuseMatchingTest, SettledListIsReportedOnlyUnderIndexedSharing) {
-  auto labels = std::make_shared<LabelTable>();
-  Tree t1 = Parse("(D (P (S \"alpha beta\") (S \"gamma\")) "
-                  "(P (S \"delta\")))",
-                  labels);
-  Tree t2 = Parse("(D (P (S \"alpha beta\") (S \"gamma\")) "
-                  "(P (S \"delta prime\")))",
-                  labels);
-  auto indexed = DiffWith(t1, t2, ShareMode::kIndexed);
-  auto reference = DiffWith(t1, t2, ShareMode::kReference);
-  ASSERT_TRUE(indexed.ok());
-  ASSERT_TRUE(reference.ok());
-  // The unchanged first paragraph is the one settled region.
-  ASSERT_EQ(indexed->settled.size(), 1u);
-  EXPECT_EQ(indexed->settled[0].first, t1.children(t1.root())[0]);
-  EXPECT_EQ(indexed->settled[0].second, t2.children(t2.root())[0]);
-  // kReference generates over the full trees, so it skips nothing.
-  EXPECT_TRUE(reference->settled.empty());
 }
 
 }  // namespace

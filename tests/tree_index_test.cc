@@ -5,10 +5,15 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "gen/vocab.h"
+#include "service/tree_cache.h"
 #include "tree/builder.h"
 #include "tree/tree.h"
+#include "util/random.h"
 
 namespace treediff {
 namespace {
@@ -130,6 +135,75 @@ TEST(TreeIndexTest, NodeValueHashWithAndWithoutIndex) {
   }
   EXPECT_EQ(t.attached_index(), nullptr);
   EXPECT_EQ(NodeValueHash(t, t.root()), HashValueBytes("some value"));
+}
+
+TEST(HashValueBytesTest, MatchesPublishedXxh64Vectors) {
+  EXPECT_EQ(HashValueBytes(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(HashValueBytes("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(HashValueBytes("abc"), 0x44BC2CF5AD770999ULL);
+  // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tail steps.
+  EXPECT_EQ(HashValueBytes("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ULL);
+}
+
+TEST(HashValueBytesTest, EverySingleByteFlipChangesTheHash) {
+  // Lengths 0..100 cover the short path, one to three stripes, and every
+  // mix of 8-, 4- and 1-byte tail steps.
+  for (size_t len = 0; len <= 100; ++len) {
+    std::string bytes(len, '\0');
+    for (size_t i = 0; i < len; ++i) {
+      bytes[i] = static_cast<char>('a' + (i * 7) % 26);
+    }
+    const uint64_t base = HashValueBytes(bytes);
+    for (size_t i = 0; i < len; ++i) {
+      for (const unsigned char flip : {0x01, 0x80, 0xFF}) {
+        std::string changed = bytes;
+        changed[i] = static_cast<char>(changed[i] ^ flip);
+        EXPECT_NE(HashValueBytes(changed), base)
+            << "len " << len << " byte " << i << " flip " << int{flip};
+      }
+    }
+    // A length change alone changes the hash too.
+    EXPECT_NE(HashValueBytes(bytes + '\0'), base) << "len " << len;
+  }
+}
+
+TEST(HashValueBytesTest, EqualBytesHashEqualAtEveryAlignment) {
+  const std::string text =
+      "the quick brown fox jumps over the lazy dog, twice over, 0123456789";
+  for (size_t len : {0u, 3u, 7u, 8u, 12u, 31u, 32u, 33u, 64u}) {
+    const std::string_view want(text.data(), len);
+    const uint64_t expected = HashValueBytes(std::string(want));
+    for (size_t offset = 0; offset < 8; ++offset) {
+      std::string buffer(offset, '#');
+      buffer += want;
+      buffer += "#######";
+      EXPECT_EQ(HashValueBytes(std::string_view(buffer).substr(offset, len)),
+                expected)
+          << "len " << len << " offset " << offset;
+    }
+  }
+}
+
+TEST(HashValueBytesTest, NoCollisionsAcrossAGeneratedCorpus) {
+  Vocabulary vocab(5000, 1.0);
+  Rng rng(20261019);
+  std::unordered_set<std::string> values;
+  while (values.size() < 100000) values.insert(vocab.MakeSentence(&rng, 1, 24));
+  std::unordered_set<uint64_t> hashes;
+  hashes.reserve(values.size());
+  for (const std::string& v : values) hashes.insert(HashValueBytes(v));
+  EXPECT_EQ(hashes.size(), values.size());
+}
+
+TEST(HashValueBytesTest, FingerprintTextSeparatesFormatTags) {
+  const std::string text = "(D (P (S \"alpha\")))";
+  EXPECT_NE(TreeCache::FingerprintText("sexpr", text),
+            TreeCache::FingerprintText("xml", text));
+  EXPECT_EQ(TreeCache::FingerprintText("sexpr", text),
+            TreeCache::FingerprintText("sexpr", std::string(text)));
+  EXPECT_NE(TreeCache::FingerprintText("sexpr", text),
+            TreeCache::FingerprintText("sexpr", text + " "));
 }
 
 TEST(TreeIndexTest, TreeChildIndexUsesAttachedIndex) {
