@@ -7,7 +7,6 @@
 #include "core/script_io.h"
 #include "doc/xml.h"
 #include "tree/builder.h"
-#include "util/retry.h"
 
 namespace treediff {
 
@@ -20,9 +19,6 @@ constexpr int kTreeCacheShards = 8;
 /// Where a request admitted under queue pressure starts on the ladder:
 /// O(n log n) label/value bucketing with no value comparisons.
 constexpr DiffRung kDegradedStartRung = DiffRung::kKeyedStructural;
-
-/// First store-retry backoff; each further retry doubles it.
-constexpr double kStoreRetryBackoffSeconds = 0.001;
 
 double Seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
@@ -94,7 +90,6 @@ DiffService::DiffService(DiffServiceOptions options)
   match_cache_hits_ = metrics_.counter("diff_match_cache_hits_total");
   match_cache_misses_ = metrics_.counter("diff_match_cache_misses_total");
   chain_log_hits_ = metrics_.counter("diff_chain_log_hits_total");
-  store_retries_ = metrics_.counter("store_retry_total");
   breaker_trips_ = metrics_.counter("store_breaker_trips_total");
   breaker_fast_fails_ = metrics_.counter("store_breaker_fast_fails_total");
   store_repairs_ = metrics_.counter("store_repairs_total");
@@ -210,35 +205,18 @@ Status DiffService::GuardedStoreOp(
     // Cooldown over: fall through and let this request probe (half-open).
   }
 
-  const int attempts = std::max(options_.store_retry_attempts, 1);
+  // A store poisoned by an earlier I/O failure is healed by rotation
+  // before anything runs on it; no acknowledged commit is lost (the
+  // in-memory state is the acknowledged state). `op` then runs once: the
+  // store's own Retryer already retried its transient I/O, and re-running
+  // a whole commit is not safe (a quorum timeout leaves it committed).
+  const std::shared_ptr<VersionStore> primary = entry->group->primary();
   Status last = Status::Ok();
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      store_retries_->Increment();
-      const double backoff = kStoreRetryBackoffSeconds *
-                             static_cast<double>(1 << (attempt - 1));
-      if (options_.sleep) {
-        options_.sleep(backoff);
-      } else if (backoff > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      }
-    }
-    const std::shared_ptr<VersionStore> primary = entry->group->primary();
-    last = op(primary.get());
-    if (last.ok()) break;
-    if (last.code() == Code::kFailedPrecondition && primary->durable()) {
-      // The store poisoned itself after an I/O failure. Heal it by
-      // rotation and re-run the operation on the fresh log; no
-      // acknowledged commit is lost (the in-memory state is the
-      // acknowledged state). A failed repair falls through to the
-      // transient/permanent classification below.
-      store_repairs_->Increment();
-      const Status repaired = primary->Repair();
-      if (repaired.ok()) continue;
-      last = repaired;
-    }
-    if (!IsTransientError(last)) break;
+  if (!primary->io_status().ok()) {
+    store_repairs_->Increment();
+    last = primary->Repair();
   }
+  if (last.ok()) last = op(primary.get());
 
   if (last.ok()) {
     entry->consecutive_failures = 0;
@@ -584,7 +562,7 @@ StatusOr<std::shared_ptr<const CachedTree>> DiffService::ResolveVersion(
   }
   *cache_hit = false;
   cache_misses_->Increment();
-  // Materialize through the resilience wrapper (retry / repair / breaker);
+  // Materialize through the resilience wrapper (repair / breaker);
   // freezing + indexing happen inside Insert, off the store lock.
   std::optional<Tree> tree;
   const Status status = GuardedStoreOp(entry, [&](VersionStore* store) {
@@ -594,9 +572,7 @@ StatusOr<std::shared_ptr<const CachedTree>> DiffService::ResolveVersion(
           std::to_string(store->VersionCount() - 1) + "] for \"" + doc_id +
           "\"");
     }
-    // Reads go through the group, which prefers a caught-up follower
-    // within the staleness bound and falls back to the primary.
-    StatusOr<Tree> materialized = entry->group->Materialize(version);
+    StatusOr<Tree> materialized = store->Materialize(version);
     if (!materialized.ok()) return materialized.status();
     tree = std::move(materialized).value();
     return Status::Ok();
@@ -616,8 +592,8 @@ StatusOr<int> DiffService::CommitVersion(const std::string& doc_id,
   int version = -1;
   const Status status = GuardedStoreOp(entry, [&](VersionStore* store) {
     // Commits must use the store's label table, which for attached stores
-    // is not the service's inline table. Re-parsing on a retry is safe:
-    // interning is idempotent.
+    // is not the service's inline table. Re-parsing after a failover is
+    // safe: interning is idempotent.
     StatusOr<Tree> tree = format == DiffRequest::Format::kSexpr
                               ? ParseSexpr(doc, store->label_table())
                               : ParseXml(doc, store->label_table());

@@ -114,14 +114,14 @@ struct DiffServiceOptions {
   /// deadline_seconds or node_cap, when set, overrides it or adds a cap.
   double default_deadline_seconds = 0.0;
 
-  /// Store resilience. Transient store errors (kUnavailable) are retried up
-  /// to `store_retry_attempts` total tries with doubling backoff starting
-  /// at 1 ms; a poisoned durable store is repaired (VersionStore::Repair)
-  /// and the operation re-run. After
-  /// `breaker_failure_threshold` consecutive server-side failures a store's
-  /// circuit breaker opens: its requests fast-fail with kUnavailable for
-  /// `breaker_cooldown_seconds` instead of piling onto a sick store.
-  int store_retry_attempts = 3;
+  /// Store resilience. A store operation runs once: the store retries its
+  /// own transient I/O (StoreOptions::retry). A durable store that an
+  /// earlier failure poisoned is repaired (VersionStore::Repair) before the
+  /// next operation runs on it. After `breaker_failure_threshold`
+  /// consecutive server-side failures a store's circuit breaker opens: a
+  /// group with followers fails over, and otherwise its requests fast-fail
+  /// with kUnavailable for `breaker_cooldown_seconds` instead of piling
+  /// onto a sick store.
   int breaker_failure_threshold = 3;
   double breaker_cooldown_seconds = 5.0;
 
@@ -148,8 +148,9 @@ struct DiffServiceOptions {
   /// 0 disables the thread. ScrubNow() works either way.
   double scrub_interval_seconds = 0.0;
 
-  /// Replaces the real store-retry backoff sleep (tests pass a no-op);
-  /// null means a real clock wait. The scrubber cadence is not affected.
+  /// Replaces the real retry backoff sleep of the stores this service
+  /// creates (tests pass a no-op); null means a real clock wait. The
+  /// scrubber cadence is not affected.
   std::function<void(double seconds)> sleep;
 
   /// Base pipeline options (thresholds, matcher choice, cost model, ...).
@@ -170,17 +171,16 @@ struct DiffServiceOptions {
 /// stage live in the service's MetricsRegistry.
 ///
 /// Every store is a replication group (ReplicatedVersionStore); an
-/// in-memory store is a group of one. Reads and commits route through the
-/// group (staleness-bounded follower reads, lease-fenced quorum commits).
-/// Stores are served through a resilience wrapper: transient store errors
-/// are retried with backoff, a poisoned durable store is repaired in place
-/// (VersionStore::Repair) and the request re-run, a group with followers
-/// fails over to the most-caught-up one (fenced promotion) once its
-/// primary keeps failing, and a per-store circuit breaker (StoreHealth)
-/// quarantines a store that keeps failing so requests fail fast instead of
-/// piling onto it. An optional background scrubber re-verifies every
-/// durable store's log checksums on a timer
-/// (DiffServiceOptions::scrub_interval_seconds).
+/// in-memory store is a group of one. Reads come from the group's primary;
+/// commits route through the group (lease-fenced, quorum-acked when asked).
+/// Stores are served through a resilience wrapper: a poisoned durable
+/// primary is repaired in place (VersionStore::Repair) before the next
+/// operation runs on it, a group with followers fails over to the
+/// most-caught-up one (fenced promotion) once its primary keeps failing,
+/// and a per-store circuit breaker (StoreHealth) quarantines a store that
+/// keeps failing so requests fail fast instead of piling onto it. An
+/// optional background scrubber re-verifies every durable store's log
+/// checksums on a timer (DiffServiceOptions::scrub_interval_seconds).
 ///
 /// Thread-safety: Submit and the store/metrics accessors may be called
 /// from any thread. Shutdown (or destruction) drains in-flight requests.
@@ -352,11 +352,11 @@ class DiffService {
   /// shared: lookups on the request path don't serialize behind each other.
   StoreEntry* FindStore(const std::string& doc_id) EXCLUDES(stores_mu_);
 
-  /// Runs `op` against the group's current primary under the entry lock,
-  /// wrapped in the service's resilience policy: breaker fast-fail while
-  /// quarantined, transient-error retry with doubling backoff, automatic
-  /// Repair of a poisoned durable primary, failover to a follower, and
-  /// breaker bookkeeping on the final outcome.
+  /// Runs `op` once against the group's current primary under the entry
+  /// lock, wrapped in the service's resilience policy: breaker fast-fail
+  /// while quarantined, Repair of a primary already poisoned, failover to
+  /// a follower (re-running `op` on the new primary), and breaker
+  /// bookkeeping on the final outcome.
   Status GuardedStoreOp(StoreEntry* entry,
                         const std::function<Status(VersionStore*)>& op);
 
@@ -424,7 +424,6 @@ class DiffService {
   Counter* match_cache_hits_ = nullptr;
   Counter* match_cache_misses_ = nullptr;
   Counter* chain_log_hits_ = nullptr;
-  Counter* store_retries_ = nullptr;
   Counter* breaker_trips_ = nullptr;
   Counter* breaker_fast_fails_ = nullptr;
   Counter* store_repairs_ = nullptr;

@@ -514,8 +514,6 @@ Status ReplicatedVersionStore::ResyncLocked(
   resyncs_.fetch_add(1, std::memory_order_relaxed);
   BumpMetric("replication_resyncs_total");
   state->out.reset();
-  state->reader.reset();
-  state->reader_cursor = 0;
   state->cursor = 0;
   state->chain = 0;
   state->records = 0;
@@ -568,39 +566,6 @@ Status ReplicatedVersionStore::AppendBatchLocked(ReplicaState* state,
   });
   primary->AddRetries(retryer.total_retries());
   return appended;
-}
-
-StatusOr<Tree> ReplicatedVersionStore::Materialize(int v) {
-  std::shared_ptr<VersionStore> primary = PrimarySnapshot();
-  if (!primary) {
-    return Status::FailedPrecondition("replication: group has no primary");
-  }
-  const uint64_t durable = primary->DurableOffset();
-
-  for (const auto& state_ptr : states_) {
-    ReplicaState* state = state_ptr.get();
-    MutexLock lock(&state->mu);
-    if (state->role != ReplicaRole::kFollower) continue;
-    if (state->dirty || state->cursor == 0) continue;
-    if (state->cursor > durable) continue;  // Mid-failover; skip.
-    if (durable - state->cursor > options_.max_read_lag_bytes) continue;
-    if (!state->reader || state->reader_cursor != state->cursor) {
-      StoreOptions so = options_.store_options;
-      so.env = state->config.env;
-      so.labels = labels_;
-      so.metrics = nullptr;  // Reader reopens are not store activity.
-      so.recovery = RecoveryMode::kTruncate;
-      auto opened = VersionStore::Open(state->config.path, diff_options_, so);
-      if (!opened.ok()) continue;
-      state->reader = std::make_shared<VersionStore>(std::move(*opened));
-      state->reader_cursor = state->cursor;
-    }
-    auto tree = state->reader->Materialize(v);
-    if (tree.ok()) return tree;
-    // kOutOfRange: the version is newer than this follower's prefix —
-    // fall through to a fresher replica or the primary.
-  }
-  return primary->Materialize(v);
 }
 
 StatusOr<int> ReplicatedVersionStore::Promote(int follower_index) {
@@ -683,8 +648,6 @@ StatusOr<int> ReplicatedVersionStore::PromoteInternal(
     }
     cand->role = ReplicaRole::kPrimary;
     cand->out.reset();
-    cand->reader.reset();
-    cand->reader_cursor = 0;
   }
 
   StoreOptions so = options_.store_options;

@@ -23,9 +23,10 @@ namespace treediff {
 /// followers *tail the primary's log bytes* from a cursor, re-verify every
 /// record's CRC32C before appending it locally, and fsync before
 /// acknowledging, so a follower's log is at all times a verified,
-/// byte-identical prefix of the primary's. Materializing any version on
-/// any caught-up replica therefore yields the same tree the primary
-/// serves, with no separate state-transfer protocol to get wrong.
+/// byte-identical prefix of the primary's. A promoted follower therefore
+/// serves every version it holds exactly as the old primary did, with no
+/// separate state-transfer protocol to get wrong. Followers only stand by:
+/// every read goes to the primary, which holds each version in memory.
 ///
 /// **Ack modes.** kLeaderOnly returns once the primary's fsync completes
 /// (the pre-replication durability contract). kQuorum additionally blocks
@@ -107,11 +108,6 @@ struct ReplicationOptions {
   /// explicitly for deterministic schedules. kQuorum commits then pump
   /// inline while they wait, so single-threaded tests still converge.
   bool background_ship = true;
-
-  /// A follower may serve reads while its log trails the primary's by at
-  /// most this many bytes; 0 restricts follower reads to fully caught-up
-  /// replicas. Reads fall back to the primary when no follower qualifies.
-  uint64_t max_read_lag_bytes = 0;
 
   /// Registry for replication counters/histograms (see docs/replication.md
   /// for the names). Null disables. Must outlive the group.
@@ -201,11 +197,6 @@ class ReplicatedVersionStore {
   /// deterministic tests call it directly.
   Status PumpFollowers();
 
-  /// Serves version `v`, preferring a follower within the configured
-  /// staleness bound (spreading read load off the primary); falls back to
-  /// the primary.
-  StatusOr<Tree> Materialize(int v);
-
   /// Promotes `follower_index` (or, if -1, the most-caught-up follower) to
   /// primary: bumps the epoch durably, deposes the old primary, and
   /// re-points the surviving followers (their logs are byte prefixes of
@@ -236,8 +227,8 @@ class ReplicatedVersionStore {
   int primary_index() const EXCLUDES(mu_);
   int replica_count() const { return static_cast<int>(states_.size()); }
 
-  /// The current primary store (stable until the next promotion). The
-  /// service layer uses it for label-table access and delta queries; do
+  /// The current primary store (stable until the next promotion), and the
+  /// one that serves reads: Materialize, DeltaFor and the label table. Do
   /// not Commit on it directly — that would bypass the lease fence.
   std::shared_ptr<VersionStore> primary() const EXCLUDES(mu_);
 
@@ -275,10 +266,6 @@ class ReplicatedVersionStore {
     // legitimately carry older epochs).
     uint64_t fence_epoch GUARDED_BY(mu) = 0;
     uint64_t fence_cursor GUARDED_BY(mu) = 0;
-
-    // Read cache: a store opened from the local log at reader_cursor.
-    std::shared_ptr<VersionStore> reader GUARDED_BY(mu);
-    uint64_t reader_cursor GUARDED_BY(mu) = 0;
   };
 
   ReplicatedVersionStore() = default;

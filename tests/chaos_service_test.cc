@@ -24,6 +24,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/diff_service.h"
@@ -109,17 +110,17 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   std::shared_ptr<ReplicatedVersionStore> group = std::move(*built);
 
-  // Acked versions, shared between the writer (appends) and the readers
-  // (sample endpoints for VDIFFs).
+  // Acked (version, DocText index) pairs, shared between the writer
+  // (appends) and the readers (sample endpoints for VDIFFs). A failed
+  // commit is not re-run, so the next document takes its version number.
   std::mutex acked_mu;
-  std::vector<int> acked{0};
+  std::vector<std::pair<int, int>> acked{{0, 0}};
   uint64_t rotations_seen = 0;
 
   {
     DiffServiceOptions options;
     options.num_threads = 3;
     options.sleep = [](double) {};
-    options.store_retry_attempts = 4;
     options.breaker_failure_threshold = 3;
     options.breaker_cooldown_seconds = 0.002;
     DiffService service(options);
@@ -130,7 +131,7 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
         StatusOr<int> version = service.CommitVersion("doc", DocText(v));
         if (version.ok()) {
           std::lock_guard<std::mutex> lock(acked_mu);
-          acked.push_back(*version);
+          acked.emplace_back(*version, v);
         }
         // Failures are expected on crashed / full-disk seeds; the writer
         // keeps submitting — the service must stay responsive either way.
@@ -144,8 +145,8 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
           int from, to;
           {
             std::lock_guard<std::mutex> lock(acked_mu);
-            from = acked[rng() % acked.size()];
-            to = acked[rng() % acked.size()];
+            from = acked[rng() % acked.size()].first;
+            to = acked[rng() % acked.size()].first;
           }
           DiffRequest request;
           request.doc_id = "doc";
@@ -179,12 +180,12 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
                              << report.ToString();
 
   // THE invariant: every acked commit survived, exactly.
-  std::vector<int> acked_copy;
+  std::vector<std::pair<int, int>> acked_copy;
   {
     std::lock_guard<std::mutex> lock(acked_mu);
     acked_copy = acked;
   }
-  for (int v : acked_copy) {
+  for (const auto& [v, doc] : acked_copy) {
     ASSERT_LT(v, reopened->VersionCount())
         << "acked version " << v << " missing after recovery: "
         << report.ToString();
@@ -192,7 +193,7 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
     ASSERT_TRUE(tree.ok()) << "acked version " << v << ": "
                            << tree.status().ToString() << "\n"
                            << report.ToString();
-    auto expected = ParseSexpr(DocText(v), reopened->label_table());
+    auto expected = ParseSexpr(DocText(doc), reopened->label_table());
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(Tree::Isomorphic(*tree, *expected))
         << "acked version " << v << " corrupted by recovery";
@@ -237,7 +238,7 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
   EXPECT_TRUE(drill.rotated) << drill.ToString();
   EXPECT_GE(drill.checksum_failures, 1u) << drill.ToString();
   int intact = 0;
-  for (int v : acked_copy) {
+  for (const auto& [v, doc] : acked_copy) {
     ASSERT_LT(v, salvaged->VersionCount()) << drill.ToString();
     auto tree = salvaged->Materialize(v);
     if (!tree.ok()) {
@@ -246,7 +247,7 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
           << tree.status().ToString();
       continue;
     }
-    auto expected = ParseSexpr(DocText(v), salvaged->label_table());
+    auto expected = ParseSexpr(DocText(doc), salvaged->label_table());
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(Tree::Isomorphic(*tree, *expected))
         << "version " << v << " silently corrupted by salvage";
@@ -254,7 +255,7 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
   }
   // The checkpoint re-anchored the suffix: the newest acked version (which
   // is at or after the last checkpoint) must have survived the drill.
-  auto newest = salvaged->Materialize(acked_copy.back());
+  auto newest = salvaged->Materialize(acked_copy.back().first);
   EXPECT_TRUE(newest.ok()) << "newest acked version lost: "
                            << newest.status().ToString() << "\n"
                            << drill.ToString();

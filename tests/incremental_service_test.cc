@@ -559,8 +559,8 @@ TEST(IncrementalServiceTest, AdjacentAnswersFromTheLogEqualLiveDiffs) {
     ASSERT_TRUE(logged.status.ok()) << logged.status.ToString();
     ASSERT_TRUE(logged.chain_log_hit) << "v" << v;
 
-    StatusOr<Tree> from = shared->Materialize(v - 1);
-    StatusOr<Tree> to = shared->Materialize(v);
+    StatusOr<Tree> from = shared->primary()->Materialize(v - 1);
+    StatusOr<Tree> to = shared->primary()->Materialize(v);
     ASSERT_TRUE(from.ok() && to.ok());
     StatusOr<DiffResult> live = DiffTrees(*from, *to, read);
     ASSERT_TRUE(live.ok()) << live.status().ToString();

@@ -165,7 +165,8 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
       uint64_t x = seed * 977 + static_cast<uint64_t>(r) + 1;
       for (int i = 0; i < kReaderIterations; ++i) {
         x = x * 6364136223846793005ull + 1442695040888963407ull;
-        group->Materialize(static_cast<int>(x % (kWriterCommits + 1)))
+        group->primary()
+            ->Materialize(static_cast<int>(x % (kWriterCommits + 1)))
             .status()
             .IgnoreError();
         std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -208,7 +209,7 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
   // Invariant 1: every quorum-acked commit materializes to what was acked,
   // no matter how many failovers happened in between.
   for (const auto& [version, doc] : acked) {
-    auto tree = group->Materialize(version);
+    auto tree = group->primary()->Materialize(version);
     ASSERT_TRUE(tree.ok()) << "acked version " << version << " lost: "
                            << tree.status().ToString();
     auto expected = ParseSexpr(doc, group->label_table());

@@ -98,7 +98,7 @@ struct Cluster {
 
 void ExpectAllVersionsServed(ReplicatedVersionStore* group, int last) {
   for (int v = 0; v <= last; ++v) {
-    auto tree = group->Materialize(v);
+    auto tree = group->primary()->Materialize(v);
     ASSERT_TRUE(tree.ok()) << "version " << v << ": "
                            << tree.status().ToString();
     auto expected = ParseSexpr(DocText(v), group->label_table());
@@ -170,36 +170,6 @@ TEST(ReplicationTest, QuorumTimeoutReportsUnavailableButStaysDurable) {
   // only that the replication guarantee was not met.
   EXPECT_EQ(c.group->primary()->VersionCount(), 2);
   ExpectAllVersionsServed(c.group.get(), 1);
-}
-
-TEST(ReplicationTest, StalenessBoundGovernsFollowerReads) {
-  Cluster c;
-  ReplicationOptions options;
-  options.max_read_lag_bytes = 1u << 20;  // Any follower qualifies.
-  ASSERT_TRUE(c.Build(options).ok());
-  ASSERT_TRUE(c.Commit(1).ok());
-  ASSERT_TRUE(c.PumpUntilCaughtUp());
-  ASSERT_TRUE(c.Commit(2).ok());  // Not yet shipped: followers lag.
-
-  bool lagging = false;
-  for (const ReplicaStatus& r : c.group->Replicas()) {
-    if (r.role == ReplicaRole::kFollower && r.lag_bytes > 0) lagging = true;
-  }
-  EXPECT_TRUE(lagging);
-
-  // Version 1 is within every follower's prefix; version 2 only the
-  // primary has (a follower read falls through on kOutOfRange). Repeat
-  // reads exercise the cached-reader reopen path.
-  ExpectAllVersionsServed(c.group.get(), 2);
-  ExpectAllVersionsServed(c.group.get(), 2);
-
-  // With a zero staleness bound the lagging followers are skipped and the
-  // primary serves everything — same answers.
-  Cluster strict;
-  ASSERT_TRUE(strict.Build().ok());  // max_read_lag_bytes = 0.
-  ASSERT_TRUE(strict.Commit(1).ok());
-  ASSERT_TRUE(strict.Commit(2).ok());
-  ExpectAllVersionsServed(strict.group.get(), 2);
 }
 
 TEST(ReplicationTest, StaleLeaseCommitFencedAfterPromotion) {
@@ -618,7 +588,7 @@ TEST(ReplicationTest, EmptyReplicaListIsAnInMemoryGroupOfOne) {
     ASSERT_TRUE(committed.ok()) << committed.status().ToString();
     EXPECT_EQ(*committed, v);
   }
-  auto tree = group.Materialize(2);
+  auto tree = group.primary()->Materialize(2);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   EXPECT_TRUE(Tree::Isomorphic(
       *tree, *ParseSexpr(DocText(2), group.label_table())));
@@ -799,6 +769,42 @@ TEST(ReplicationServiceTest, ServiceRoutesReadsAndCommitsThroughGroup) {
   EXPECT_EQ(service.ScrubNow(), 1);
 }
 
+TEST(ReplicationServiceTest, QuorumTimeoutCommitsExactlyOnce) {
+  // A quorum timeout leaves the commit durable on the primary, so running
+  // the commit again would store the same document a second time as a
+  // version nobody committed.
+  Cluster c;
+  FaultPlan dead;
+  dead.transient_append_p = 1.0;  // Followers can never append.
+  FaultInjectingEnv env1(&c.mem[1], dead);
+  FaultInjectingEnv env2(&c.mem[2], dead);
+  ReplicationOptions group_options;
+  group_options.ack_mode = AckMode::kQuorum;
+  group_options.ack_timeout_seconds = 0.05;
+  ASSERT_TRUE(c.Build(group_options, {nullptr, &env1, &env2}).ok());
+  std::shared_ptr<ReplicatedVersionStore> group = std::move(c.group);
+
+  DiffServiceOptions options;
+  options.sleep = [](double) {};
+  options.breaker_failure_threshold = 3;  // No failover on one failure.
+  DiffService service(options);
+  ASSERT_TRUE(service.AttachStore("doc", group).ok());
+
+  const StatusOr<int> committed = service.CommitVersion("doc", DocText(1));
+  ASSERT_FALSE(committed.ok());
+  EXPECT_EQ(committed.status().code(), Code::kUnavailable);
+  EXPECT_EQ(group->counters().quorum_timeouts, 1u);
+  EXPECT_EQ(group->counters().failovers, 0u);
+
+  const std::shared_ptr<VersionStore> primary = group->primary();
+  EXPECT_EQ(primary->VersionCount(), 2);
+  const EditScript* delta = primary->DeltaFor(1);
+  ASSERT_NE(delta, nullptr);
+  EXPECT_GT(delta->size(), 0u);
+  ExpectAllVersionsServed(group.get(), 1);
+  service.Shutdown();
+}
+
 TEST(ReplicationServiceTest, RecoverStoreServesAStoreAfterARestart) {
   MemEnv mems[2];
   std::vector<ReplicaConfig> configs;
@@ -883,7 +889,6 @@ TEST(ReplicationServiceTest, BreakerOpenPromotesFollowerAndResumesTraffic) {
 
   DiffServiceOptions options;
   options.sleep = [](double) {};
-  options.store_retry_attempts = 1;
   options.breaker_failure_threshold = 1;
   DiffService service(options);
   ASSERT_TRUE(service.CreateStore("doc", DocText(0), configs).ok());
@@ -946,7 +951,6 @@ TEST(ReplicationServiceTest, RecoverAfterABreakerPromotionKeepsEveryVersion) {
       {&dying, "p.log"}, {&mems[1], "f1.log"}, {&mems[2], "f2.log"}};
   DiffServiceOptions options;
   options.sleep = [](double) {};
-  options.store_retry_attempts = 1;
   options.breaker_failure_threshold = 1;
   std::vector<size_t> acked_ops;
   int promoted = -1;

@@ -1,7 +1,7 @@
-// DiffService resilience around attached stores: transient-error retry,
-// automatic Repair of a poisoned store, the per-store circuit breaker
-// (degraded -> quarantined -> half-open probe -> healthy), and scrubbing
-// through the service.
+// DiffService resilience around attached stores: the store's own
+// transient-error retry seen through the service, Repair of a poisoned
+// store, the per-store circuit breaker (degraded -> quarantined ->
+// half-open probe -> healthy), and scrubbing through the service.
 
 #include <gtest/gtest.h>
 
@@ -51,7 +51,7 @@ StatusOr<std::unique_ptr<ReplicatedVersionStore>> DurableGroup(
 DiffServiceOptions QuietServiceOptions() {
   DiffServiceOptions options;
   options.num_threads = 2;
-  options.sleep = [](double) {};  // No real store-retry waits in tests.
+  options.sleep = [](double) {};  // No real retry waits in tests.
   return options;
 }
 
@@ -66,20 +66,16 @@ TEST(ServiceResilienceTest, TransientStoreFaultsAreRetriedBehindTheApi) {
   plan.transient_append_p = 0.15;
   FaultInjectingEnv env(&mem, plan);
 
-  // Give the store itself no retry budget so every transient fault
-  // surfaces to the service as kUnavailable — the layer under test here.
-  StoreOptions store_options = QuietStoreOptions(&env);
-  store_options.retry.max_attempts = 1;
+  // The store keeps its default retry budget: it is the only retry loop,
+  // and the service runs each commit once on top of it.
   StatusOr<std::unique_ptr<ReplicatedVersionStore>> group =
       Status::Internal("never tried");
   for (int i = 0; i < 64 && !group.ok(); ++i) {
-    group = DurableGroup(&env, "svc.log", store_options);
+    group = DurableGroup(&env, "svc.log", QuietStoreOptions(&env));
   }
   ASSERT_TRUE(group.ok()) << group.status().ToString();
 
-  DiffServiceOptions options = QuietServiceOptions();
-  options.store_retry_attempts = 6;
-  DiffService service(options);
+  DiffService service(QuietServiceOptions());
   ASSERT_TRUE(service.AttachStore("doc", std::move(*group)).ok());
 
   for (int v = 1; v <= 8; ++v) {
@@ -89,7 +85,6 @@ TEST(ServiceResilienceTest, TransientStoreFaultsAreRetriedBehindTheApi) {
     EXPECT_EQ(*version, v);
   }
   EXPECT_GT(env.transient_faults(), 0u);
-  EXPECT_GT(CounterValue(&service, "store_retry_total"), 0u);
 
   std::vector<DiffService::StoreStatus> statuses = service.StoreStatuses();
   ASSERT_EQ(statuses.size(), 1u);
@@ -97,6 +92,7 @@ TEST(ServiceResilienceTest, TransientStoreFaultsAreRetriedBehindTheApi) {
   EXPECT_EQ(statuses[0].consecutive_failures, 0);
   EXPECT_EQ(statuses[0].versions, 9);
   EXPECT_TRUE(statuses[0].durable);
+  EXPECT_GT(statuses[0].faults.transient_retries, 0u);
   service.Shutdown();
 }
 
@@ -109,7 +105,6 @@ TEST(ServiceResilienceTest, BreakerTripsFastFailsAndRecoversViaRepair) {
   ASSERT_TRUE(group.ok()) << group.status().ToString();
 
   DiffServiceOptions options = QuietServiceOptions();
-  options.store_retry_attempts = 2;
   options.breaker_failure_threshold = 2;
   options.breaker_cooldown_seconds = 0.05;
   DiffService service(options);
@@ -126,9 +121,9 @@ TEST(ServiceResilienceTest, BreakerTripsFastFailsAndRecoversViaRepair) {
     EXPECT_EQ(statuses[0].consecutive_failures, 1);
   }
 
-  // Failure 2: the service sees the poison (kFailedPrecondition), attempts
-  // an automatic Repair, and the repair fails too — the medium is still
-  // down. That trips the breaker.
+  // Failure 2: the service sees the store's poison flag and attempts a
+  // Repair before running the commit; the repair fails too — the medium is
+  // still down — so the commit never runs. That trips the breaker.
   StatusOr<int> second = service.CommitVersion("doc", DocText(1));
   ASSERT_FALSE(second.ok());
   EXPECT_GE(CounterValue(&service, "store_repairs_total"), 1u);
@@ -148,7 +143,7 @@ TEST(ServiceResilienceTest, BreakerTripsFastFailsAndRecoversViaRepair) {
 
   // The medium comes back; after the cooldown the next request is let
   // through as a half-open probe. It finds the poison, Repair now
-  // succeeds, and the retried commit lands.
+  // succeeds, and the commit lands on the rotated log.
   env.ClearFault();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   StatusOr<int> probe = service.CommitVersion("doc", DocText(1));

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the deployed serving binaries.
 #
-# Starts treediff_serve on ephemeral ports with stdin at EOF, drives every
+# First checks that out-of-range thread counts are refused with exit 2.
+# Then starts treediff_serve on ephemeral ports with stdin at EOF, drives every
 # serving verb through treediff_client (ping, diff, open, replicated open,
 # commit, vdiff, status, metrics), then sends SIGTERM and requires a clean
 # exit 0. A repeated diff must be a matching-cache hit that serves the
 # first answer's bytes. The status check pins the REPL lines: one for each
 # durable group, none for the in-memory store. A second server then starts
 # on the same store directory: reopening the durable stores must recover
-# them (old versions diff, commits continue, a different base is refused).
+# them (old versions diff, commits continue, a different base is refused),
+# and a non-adjacent vdiff of the replicated store reads both versions
+# from the store rather than from the commit log.
 # Any non-OK response, non-zero exit or missing output fails the script.
 # Because stdin is /dev/null the whole run also proves that EOF on stdin
 # does not stop the server.
@@ -63,6 +66,21 @@ stop_server() {
   server_pid=""
   [[ "$status" -eq 0 ]] || fail "server exit status $status after SIGTERM"
 }
+
+# refuse_threads FLAG VALUE: the server must exit 2 with the usage text.
+# Each run is bounded by `timeout 5`, and no value above 257 is ever
+# passed: a binary that accepted the value would start that many threads.
+refuse_threads() {
+  local status=0
+  timeout 5 "$serve" "$1" "$2" </dev/null 2>"$work/flag.err" || status=$?
+  [[ "$status" -eq 2 ]] || fail "$1 $2: exit status $status (want 2)"
+  grep -q '^usage: treediff_serve ' "$work/flag.err" ||
+    fail "$1 $2: no usage text in: $(cat "$work/flag.err")"
+}
+refuse_threads --threads 0
+refuse_threads --threads -1
+refuse_threads --threads 257
+refuse_threads --net-threads 257
 
 start_server
 
@@ -139,6 +157,9 @@ start_server
 expect reopen-replicated '^OK version=1$' open --replicas 2 rdoc sexpr "$old"
 expect reopen-vdiff '^ops=[1-9]' vdiff rdoc 0 1
 expect recommit-replicated '^OK version=2$' commit rdoc sexpr "$old"
+# Version 2 re-commits the base text, and versions 0 and 2 are not
+# adjacent, so the store materializes both and the diff is empty.
+expect vdiff-replicated '^ops=0 ' vdiff rdoc 0 2
 if "$client" --port "$port" open --replicas 1 sdoc sexpr "$new" \
   2>/dev/null; then
   fail "reopen with a different base accepted"

@@ -21,6 +21,9 @@
 //                        [--store-dir DIR] [--port N] [--metrics-port N]
 //                        [--net-threads N] [--drain SECONDS] [--no-stdin]
 //
+// --threads and --net-threads each take 1 to 256; any other value is
+// rejected with the usage text and exit status 2.
+//
 // The server always serves incrementally, under the one diff rule that
 // commits and the commit log use: the share-map pre-pass prunes unchanged
 // subtrees out of every diff, repeated diffs of the same document pair
@@ -48,6 +51,10 @@ constexpr char kUsage[] =
     "usage: treediff_serve [--threads N] [--queue N] [--deadline SECONDS] "
     "[--store-dir DIR] [--port N] [--metrics-port N] [--net-threads N] "
     "[--drain SECONDS] [--no-stdin]\n";
+
+/// Most worker or event threads a flag may ask for: each is an OS thread
+/// started at once, so a typo must not start millions of them.
+constexpr long kMaxThreads = 256;
 
 /// Strict base-10 integer in [lo, hi]. std::atoi silently maps garbage to
 /// 0, which would turn a typo into a plausible setting.
@@ -84,7 +91,7 @@ int main(int argc, char** argv) {
     long n = 0;
     bool ok = true;
     if (arg == "--threads") {
-      ok = ParseInt(v, INT_MIN, INT_MAX, &n);
+      ok = ParseInt(v, 1, kMaxThreads, &n);
       options.num_threads = static_cast<int>(n);
     } else if (arg == "--queue") {
       ok = ParseInt(v, 1, INT_MAX, &n);
@@ -101,7 +108,7 @@ int main(int argc, char** argv) {
       ok = ParseInt(v, 0, 65535, &n);
       net.metrics_port = static_cast<uint16_t>(n);
     } else if (arg == "--net-threads") {
-      ok = ParseInt(v, 1, INT_MAX, &n);
+      ok = ParseInt(v, 1, kMaxThreads, &n);
       net.num_event_threads = static_cast<int>(n);
     } else if (arg == "--drain") {
       ok = ParseSeconds(v, &net.drain_deadline_seconds);
