@@ -99,6 +99,6 @@ int main() {
 
   std::printf("\nstats: %zu matched pairs, %zu compare calls (keys matched "
               "the rest for free)\n",
-              matching.size(), cmp.calls());
+              matching.size(), eval.compare_calls());
   return 0;
 }

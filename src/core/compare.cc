@@ -38,6 +38,21 @@ const WordLcsComparator::TokenEntry& WordLcsComparator::Tokens(
   return token_cache_.emplace(value_hash, std::move(entry)).first->second;
 }
 
+double WordDistance(size_t a_words, size_t b_words, size_t common) {
+  if (a_words == 0 && b_words == 0) return 0.0;
+  const double total_off = static_cast<double>(a_words + b_words) -
+                           2.0 * static_cast<double>(common);
+  return total_off / static_cast<double>(std::max(a_words, b_words));
+}
+
+bool WordLcsComparator::WordBag(const Tree& t, NodeId x,
+                                std::vector<int32_t>* ids) const {
+  // `positions` is sorted by id, so its first members are the bag in order.
+  const TokenEntry& entry = Tokens(t, x, NodeValueHash(t, x));
+  for (const auto& [id, position] : entry.positions) ids->push_back(id);
+  return true;
+}
+
 namespace {
 
 /// Hunt–Szymanski LCS length: for each token of `a` in order, take its
@@ -74,13 +89,6 @@ size_t LcsLengthByPositions(
   return tails.size();
 }
 
-double WordLcsDistanceOnTokens(size_t a_size, size_t b_size, size_t common) {
-  if (a_size == 0 && b_size == 0) return 0.0;
-  const double total_off =
-      static_cast<double>(a_size + b_size) - 2.0 * static_cast<double>(common);
-  return total_off / static_cast<double>(std::max(a_size, b_size));
-}
-
 /// Order-insensitive combination of two value hashes into one pair key.
 uint64_t PairKey(uint64_t ha, uint64_t hb) {
   const uint64_t lo = std::min(ha, hb);
@@ -107,7 +115,7 @@ double WordLcsComparator::CompareImpl(const Tree& t1, NodeId x, const Tree& t2,
   const TokenEntry& a = token_cache_.find(hx)->second;
   const TokenEntry& b = token_cache_.find(hy)->second;
   const size_t common = LcsLengthByPositions(a.ids, b.positions);
-  const double d = WordLcsDistanceOnTokens(a.ids.size(), b.ids.size(), common);
+  const double d = WordDistance(a.ids.size(), b.ids.size(), common);
   pair_cache_.emplace(pair, d);
   return d;
 }

@@ -40,10 +40,12 @@ CriteriaEvaluator::CriteriaEvaluator(const TreeIndex& index1,
          "trees being compared must share one LabelTable");
 }
 
-bool CriteriaEvaluator::LeafEqual(NodeId x, NodeId y) const {
+bool CriteriaEvaluator::LeafEqual(NodeId x, NodeId y, bool may_pass) const {
   if (t1_.label(x) != t2_.label(y)) return false;
   BudgetChargeComparisons(budget_);
-  return comparator_->Compare(t1_, x, t2_, y) <= options_.leaf_threshold_f;
+  ++compare_calls_;
+  return may_pass &&
+         comparator_->Compare(t1_, x, t2_, y) <= options_.leaf_threshold_f;
 }
 
 int CriteriaEvaluator::CommonLeaves(NodeId x, NodeId y,

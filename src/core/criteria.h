@@ -27,7 +27,8 @@ struct MatchOptions {
 /// fixed pair of trees, with the instrumentation counters the Section 8
 /// evaluation reports:
 ///
-///  * `compare` invocations (r1) are counted by the ValueComparator;
+///  * leaf compare probes (r1) — every LeafEqual call that passes the
+///    label check, whether or not the comparator runs — are counted here;
 ///  * partner checks (r2) — the integer comparisons performed while
 ///    intersecting leaf descendants for |common(x, y)| — are counted here.
 ///
@@ -55,8 +56,12 @@ class CriteriaEvaluator {
                     const ValueComparator* comparator, MatchOptions options,
                     const Budget* budget = nullptr);
 
-  /// Matching Criterion 1 for a leaf pair (x in T1, y in T2).
-  bool LeafEqual(NodeId x, NodeId y) const;
+  /// Matching Criterion 1 for a leaf pair (x in T1, y in T2). Each call
+  /// past the label check is one compare probe: charged to the budget and
+  /// counted in r1. `may_pass` = false is the caller's proof (FastMatch's
+  /// word-bag bound) that compare(x, y) > f: the probe is charged and
+  /// counted as usual and fails without running the comparator.
+  bool LeafEqual(NodeId x, NodeId y, bool may_pass = true) const;
 
   /// Matching Criterion 2 for an internal pair (x in T1, y in T2), given the
   /// leaf matches recorded in `m` so far.
@@ -77,8 +82,8 @@ class CriteriaEvaluator {
   const MatchOptions& options() const { return options_; }
   const ValueComparator& comparator() const { return *comparator_; }
 
-  /// Number of compare() invocations so far (r1).
-  size_t compare_calls() const { return comparator_->calls(); }
+  /// Number of leaf compare probes so far (r1).
+  size_t compare_calls() const { return compare_calls_; }
 
   /// Number of partner checks so far (r2).
   size_t partner_checks() const { return partner_checks_; }
@@ -95,6 +100,7 @@ class CriteriaEvaluator {
   const ValueComparator* comparator_;
   MatchOptions options_;
   const Budget* budget_;
+  mutable size_t compare_calls_ = 0;
   mutable size_t partner_checks_ = 0;
 };
 

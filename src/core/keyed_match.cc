@@ -40,6 +40,24 @@ KeyIndex IndexKeys(const Tree& t, const KeyFn& key_fn) {
   return index;
 }
 
+/// True if no node of x's subtree (T1) or of y's identically shaped subtree
+/// (T2) is matched yet, as MatchSubtreePair requires. A duplicate sentence
+/// paired earlier in document order, or a seed pair under an unsettled
+/// parent, would otherwise be paired a second time.
+bool SubtreesUnmatched(const Tree& t1, NodeId x, const Tree& t2, NodeId y,
+                       const Matching& m) {
+  std::vector<std::pair<NodeId, NodeId>> stack = {{x, y}};
+  while (!stack.empty()) {
+    auto [a, b] = stack.back();
+    stack.pop_back();
+    if (m.HasT1(a) || m.HasT2(b)) return false;
+    const auto& ka = t1.children(a);
+    const auto& kb = t2.children(b);
+    for (size_t i = 0; i < ka.size(); ++i) stack.push_back({ka[i], kb[i]});
+  }
+  return true;
+}
+
 }  // namespace
 
 Matching ComputeKeyedMatch(const Tree& t1, const Tree& t2,
@@ -159,6 +177,7 @@ Matching ComputeStructuralMatch(const Tree& t1, const Tree& t2,
         if (m.HasT2(y)) continue;
         if ((x == t1.root()) != (y == t2.root())) continue;
         if (!SubtreesIdentical(t1, x, t2, y)) continue;
+        if (!SubtreesUnmatched(t1, x, t2, y, m)) continue;
         MatchSubtreePair(t1, x, t2, y, &m);
         matched = true;
         break;

@@ -77,16 +77,6 @@ TEST_F(CompareTest, ResultIsSymmetricInValues) {
                    WordLcsDistance("b c d", "a b c"));
 }
 
-TEST_F(CompareTest, CallCounterCounts) {
-  WordLcsComparator cmp;
-  EXPECT_EQ(cmp.calls(), 0u);
-  cmp.Compare(t1_, a1_, t2_, a2_);
-  cmp.Compare(t1_, b1_, t2_, b2_);
-  EXPECT_EQ(cmp.calls(), 2u);
-  cmp.ResetCalls();
-  EXPECT_EQ(cmp.calls(), 0u);
-}
-
 TEST_F(CompareTest, RangeIsAlwaysZeroToTwo) {
   const char* samples[] = {"", "a", "a b c d e", "x y", "a b x y",
                            "one two three four five six"};

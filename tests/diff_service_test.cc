@@ -46,6 +46,42 @@ TEST(DiffServiceTest, ServesAnInlineDiff) {
   EXPECT_GE(response.total_seconds, 0.0);
 }
 
+TEST(DiffServiceTest, OneCustomComparatorServesEveryWorker) {
+  // DiffServiceOptions::diff asks only that a custom comparator be
+  // thread-safe; a stateless one shared by four workers must give every
+  // request the answer a private pipeline run gives.
+  ExactComparator shared;
+  DiffServiceOptions options = Options(4);
+  options.diff.comparator = &shared;
+  DiffService service(options);
+  std::vector<std::string> olds, news;
+  for (int k = 0; k < 8; ++k) {
+    const std::string tag = std::to_string(k);
+    olds.push_back("(D (P (S \"a" + tag + "\") (S \"b\")) (P (S \"c\")))");
+    news.push_back("(D (P (S \"b\") (S \"a" + tag + "\")) (P (S \"d\")))");
+  }
+  std::vector<std::future<DiffResponse>> futures;
+  for (int round = 0; round < 16; ++round) {
+    for (size_t k = 0; k < olds.size(); ++k) {
+      futures.push_back(service.Submit(InlineRequest(olds[k], news[k])));
+    }
+  }
+  for (size_t n = 0; n < futures.size(); ++n) {
+    const size_t k = n % olds.size();
+    DiffResponse response = futures[n].get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    auto labels = std::make_shared<LabelTable>();
+    Tree t1 = *ParseSexpr(olds[k], labels);
+    Tree t2 = *ParseSexpr(news[k], labels);
+    ExactComparator own;
+    DiffOptions direct;
+    direct.comparator = &own;
+    auto expected = DiffTrees(t1, t2, direct);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(response.operations, expected->script.size()) << "request " << n;
+  }
+}
+
 TEST(DiffServiceTest, IdenticalDocumentsGiveEmptyScript) {
   DiffService service(Options(1));
   DiffResponse response = service.SubmitSync(InlineRequest(kOld, kOld));

@@ -96,7 +96,24 @@ TEST(DiffTreesTest, CustomComparatorIsUsed) {
   EXPECT_EQ(result->script.num_updates(), 0u);
   EXPECT_EQ(result->script.num_inserts(), 1u);
   EXPECT_EQ(result->script.num_deletes(), 1u);
-  EXPECT_GT(exact.calls(), 0u);
+  EXPECT_GT(result->report.compare_calls, 0u);
+}
+
+TEST(DiffTreesTest, CompareCallsCountOnlyThisDiff) {
+  // r1 is counted per diff, not on the comparator: a comparator reused
+  // across diffs reports each diff's own probes.
+  Fixture f;
+  Tree t1 = f.Parse("(D (P (S \"a b\") (S \"c d\")) (P (S \"e f\")))");
+  Tree t2 = f.Parse("(D (P (S \"c d\") (S \"a x\")) (P (S \"g h\")))");
+  ExactComparator shared;
+  DiffOptions options;
+  options.comparator = &shared;
+  auto first = DiffTrees(t1, t2, options);
+  auto second = DiffTrees(t1, t2, options);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_GT(first->report.compare_calls, 0u);
+  EXPECT_EQ(second->report.compare_calls, first->report.compare_calls);
 }
 
 TEST(DiffTreesTest, ThresholdValidation) {

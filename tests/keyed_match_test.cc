@@ -51,9 +51,10 @@ TEST(KeyedMatchTest, ZeroCompareCalls) {
   Fixture f;
   Tree t1 = f.Parse("(D (R \"key=a v1\") (R \"key=b v2\"))");
   Tree t2 = f.Parse("(D (R \"key=b v2x\") (R \"key=a v1\"))");
-  Matching m = ComputeKeyedMatch(t1, t2, ValuePrefixKey);
-  EXPECT_EQ(m.size(), 2u);
-  EXPECT_EQ(f.cmp.calls(), 0u);  // The whole point of the fast path.
+  CriteriaEvaluator eval(t1, t2, &f.cmp, {});
+  Matching m = ComputeHybridMatch(t1, t2, ValuePrefixKey, eval);
+  EXPECT_EQ(m.size(), 3u);  // Both records and the roots.
+  EXPECT_EQ(eval.compare_calls(), 0u);  // The whole point of the fast path.
 }
 
 TEST(KeyedMatchTest, DuplicateKeysVoided) {
@@ -123,6 +124,21 @@ TEST(HybridMatchTest, LeafInternalKindsRespected) {
   Tree t2 = f.Parse("(D (R \"key=k\"))");
   Matching m = ComputeKeyedMatch(t1, t2, ValuePrefixKey);
   EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(StructuralMatchTest, DuplicateLeafDoesNotBreakALaterWholesalePair) {
+  Fixture f;
+  // The first "x" pairs with the "x" inside T2's first paragraph; the
+  // second T1 paragraph is identical to that paragraph but may no longer
+  // pair with it wholesale, since its "x" is taken.
+  Tree t1 = f.Parse("(D (P (S \"a\") (S \"x\")) (P (S \"x\") (S \"y\")))");
+  Tree t2 = f.Parse("(D (P (S \"x\") (S \"y\")) (P (S \"b\")))");
+  Matching m = ComputeStructuralMatch(t1, t2);
+  for (const auto& [x, y] : m.Pairs()) {
+    EXPECT_EQ(m.PartnerOfT2(y), x) << "pair (" << x << ", " << y << ")";
+  }
+  auto script = GenerateEditScript(t1, t2, m);
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
 }
 
 }  // namespace
