@@ -18,6 +18,7 @@
 #include "store/version_store.h"
 #include "gen/doc_gen.h"
 #include "gen/edit_sim.h"
+#include "tree/builder.h"
 #include "lcs/lcs.h"
 #include "zs/zhang_shasha.h"
 
@@ -221,6 +222,30 @@ void BM_ParseXml(benchmark::State& state) {
                           static_cast<int64_t>(text.size()));
 }
 BENCHMARK(BM_ParseXml);
+
+void BM_ParseSexpr(benchmark::State& state) {
+  // A generated document of range(0) sections, shaped like the service
+  // benchmark's (4 to 8 paragraphs a section), parsed into one shared
+  // label table as the service does.
+  static Vocabulary vocab(3000, 1.0);
+  auto labels = std::make_shared<LabelTable>();
+  Rng rng(static_cast<uint64_t>(state.range(0)));
+  DocGenParams params;
+  params.sections = static_cast<int>(state.range(0));
+  params.min_paragraphs_per_section = 4;
+  params.max_paragraphs_per_section = 8;
+  const Tree doc = GenerateDocument(params, vocab, &rng, labels);
+  const std::string text = doc.ToDebugString();
+  for (auto _ : state) {
+    auto tree = ParseSexpr(text, labels);
+    benchmark::DoNotOptimize(tree);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(doc.size()));
+}
+BENCHMARK(BM_ParseSexpr)->Arg(4)->Arg(64);
 
 void BM_ParseMarkdown(benchmark::State& state) {
   std::string text;

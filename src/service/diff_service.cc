@@ -589,15 +589,18 @@ StatusOr<int> DiffService::CommitVersion(const std::string& doc_id,
     return Status::NotFound("no store attached under doc_id \"" + doc_id +
                             "\"");
   }
+  // Commits must use the group's label table (every replica shares it),
+  // which for attached stores is not the service's inline table. The parse
+  // runs outside GuardedStoreOp: a document the parser rejects, for syntax
+  // or for depth, says nothing about the store's health, so it must never
+  // move the breaker.
+  const std::shared_ptr<LabelTable>& labels = entry->group->label_table();
+  StatusOr<Tree> tree = format == DiffRequest::Format::kSexpr
+                            ? ParseSexpr(doc, labels)
+                            : ParseXml(doc, labels);
+  if (!tree.ok()) return tree.status();
   int version = -1;
-  const Status status = GuardedStoreOp(entry, [&](VersionStore* store) {
-    // Commits must use the store's label table, which for attached stores
-    // is not the service's inline table. Re-parsing after a failover is
-    // safe: interning is idempotent.
-    StatusOr<Tree> tree = format == DiffRequest::Format::kSexpr
-                              ? ParseSexpr(doc, store->label_table())
-                              : ParseXml(doc, store->label_table());
-    if (!tree.ok()) return tree.status();
+  const Status status = GuardedStoreOp(entry, [&](VersionStore*) {
     // Commits go through the group: a lease minted now fences the write
     // against concurrent failovers, and quorum mode blocks for follower
     // acks. Direct store->Commit would bypass both.

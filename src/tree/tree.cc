@@ -485,7 +485,10 @@ void Tree::DebugStringRec(NodeId x, std::string* out) const {
   out->append(label_name(x));
   if (!value(x).empty()) {
     out->append(" \"");
-    out->append(value(x));
+    for (char c : value(x)) {
+      if (c == '"' || c == '\\') out->push_back('\\');
+      out->push_back(c);
+    }
     out->push_back('"');
   }
   for (NodeId c : children(x)) {
@@ -505,14 +508,19 @@ std::string Tree::ToDebugString() const {
 size_t Tree::DebugStringSize() const {
   if (root_ == kInvalidNode) return 2;  // "()"
   // Per node: "(" label [" \"" value "\""] ")", plus one separating space
-  // per child; every node but the root is someone's child.
+  // per child (every node but the root is someone's child) and one
+  // backslash per escaped quote or backslash in a value.
   size_t bytes = 0;
   std::vector<NodeId> stack = {root_};
   while (!stack.empty()) {
     const NodeId x = stack.back();
     stack.pop_back();
     bytes += 2 + label_name(x).size();
-    if (!value(x).empty()) bytes += 3 + value(x).size();
+    const std::string& v = value(x);
+    if (!v.empty()) {
+      bytes += 3 + v.size();
+      for (char c : v) bytes += (c == '"' || c == '\\') ? 1 : 0;
+    }
     const auto& kids = children(x);
     bytes += kids.size();
     stack.insert(stack.end(), kids.begin(), kids.end());

@@ -198,8 +198,9 @@ class Tree {
   bool Frozen() const { return frozen_; }
 
   /// Renders the tree as an s-expression, e.g.
-  /// (D (P (S "a") (S "b")) (P (S "c"))). Values are quoted; empty values
-  /// are omitted.
+  /// (D (P (S "a") (S "b")) (P (S "c"))). Values are quoted, with '"' and
+  /// '\' escaped by a backslash; empty values are omitted. ParseSexpr reads
+  /// the result back into an isomorphic tree.
   std::string ToDebugString() const;
 
   /// ToDebugString().size(), counted without building the string: the

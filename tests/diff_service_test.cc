@@ -116,6 +116,37 @@ TEST(DiffServiceTest, ParseErrorsSurfaceAsStatus) {
   EXPECT_EQ(response.status.code(), Code::kParseError);
 }
 
+/// `depth` levels of (a(a...)): 120 KB at 40,000 levels.
+std::string NestedSexpr(int depth) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += "(a";
+  text.append(static_cast<size_t>(depth), ')');
+  return text;
+}
+
+TEST(DiffServiceTest, DeepInlineDocumentsAreRejectedNotFatal) {
+  DiffService service(Options(2));
+  const std::string deep = NestedSexpr(40000);
+  DiffResponse response = service.SubmitSync(InlineRequest(deep, deep));
+  EXPECT_EQ(response.status.code(), Code::kResourceExhausted)
+      << response.status.ToString();
+  // The workers survived: the next request is served.
+  DiffResponse next = service.SubmitSync(InlineRequest(kOld, kNew));
+  ASSERT_TRUE(next.status.ok()) << next.status.ToString();
+  EXPECT_GT(next.operations, 0u);
+}
+
+TEST(DiffServiceTest, DeepCommittedDocumentIsRejectedNotFatal) {
+  DiffService service(Options(2));
+  ASSERT_TRUE(service.CreateStore("doc", kOld).ok());
+  const StatusOr<int> deep = service.CommitVersion("doc", NestedSexpr(40000));
+  EXPECT_EQ(deep.status().code(), Code::kResourceExhausted)
+      << deep.status().ToString();
+  const StatusOr<int> v1 = service.CommitVersion("doc", kNew);
+  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+  EXPECT_EQ(*v1, 1);
+}
+
 TEST(DiffServiceTest, XmlFormatIsSupported) {
   DiffService service(Options(1));
   DiffRequest request;

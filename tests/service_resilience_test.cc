@@ -189,6 +189,89 @@ TEST(ServiceResilienceTest, ClientErrorsDoNotTripTheBreaker) {
   service.Shutdown();
 }
 
+/// Four documents the parsers reject: nesting past the depth limit and a
+/// syntax error, in each service format.
+struct RejectedDoc {
+  std::string text;
+  DiffRequest::Format format;
+  Code code;
+};
+
+std::vector<RejectedDoc> RejectedDocs() {
+  std::string deep_xml, deep_sexpr;
+  for (int i = 0; i < 300; ++i) deep_xml += "<a>";
+  deep_xml += "x";
+  for (int i = 0; i < 300; ++i) deep_xml += "</a>";
+  for (int i = 0; i < 300; ++i) deep_sexpr += "(a";
+  deep_sexpr.append(300, ')');
+  return {{deep_xml, DiffRequest::Format::kXml, Code::kResourceExhausted},
+          {deep_sexpr, DiffRequest::Format::kSexpr, Code::kResourceExhausted},
+          {"<a><b></a>", DiffRequest::Format::kXml, Code::kParseError},
+          {"(D (P", DiffRequest::Format::kSexpr, Code::kParseError}};
+}
+
+TEST(ServiceResilienceTest, ParserRejectionsDoNotMoveTheBreaker) {
+  DiffServiceOptions options = QuietServiceOptions();
+  options.breaker_failure_threshold = 2;
+  DiffService service(options);
+  ASSERT_TRUE(service.CreateStore("doc", DocText(0)).ok());
+
+  for (int round = 0; round < 3; ++round) {
+    for (const RejectedDoc& doc : RejectedDocs()) {
+      StatusOr<int> commit = service.CommitVersion("doc", doc.text, doc.format);
+      EXPECT_EQ(commit.status().code(), doc.code) << commit.status().ToString();
+    }
+  }
+  auto statuses = service.StoreStatuses();
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_EQ(statuses[0].health, StoreHealth::kHealthy);
+  EXPECT_EQ(statuses[0].consecutive_failures, 0);
+  EXPECT_EQ(CounterValue(&service, "store_breaker_trips_total"), 0u);
+
+  // The store was never sick: the next valid commit and a read succeed.
+  StatusOr<int> v1 = service.CommitVersion("doc", DocText(1));
+  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+  EXPECT_EQ(*v1, 1);
+  DiffRequest request;
+  request.doc_id = "doc";
+  request.from_version = 0;
+  request.to_version = 1;
+  DiffResponse response = service.SubmitSync(std::move(request));
+  EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  service.Shutdown();
+}
+
+TEST(ServiceResilienceTest, ParserRejectionsDoNotFailOverAHealthyPrimary) {
+  MemEnv mem;
+  DiffServiceOptions options = QuietServiceOptions();
+  options.breaker_failure_threshold = 2;
+  DiffService service(options);
+  ASSERT_TRUE(service
+                  .CreateStore("doc", DocText(0),
+                               {ReplicaConfig{&mem, "r0.log"},
+                                ReplicaConfig{&mem, "r1.log"}})
+                  .ok());
+
+  for (int round = 0; round < 3; ++round) {
+    for (const RejectedDoc& doc : RejectedDocs()) {
+      EXPECT_EQ(service.CommitVersion("doc", doc.text, doc.format)
+                    .status()
+                    .code(),
+                doc.code);
+    }
+  }
+  EXPECT_EQ(CounterValue(&service, "store_failovers_total"), 0u);
+  auto statuses = service.StoreStatuses();
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_EQ(statuses[0].health, StoreHealth::kHealthy);
+  EXPECT_EQ(statuses[0].repl_epoch, 0u);
+  EXPECT_EQ(statuses[0].repl_primary, 0);
+  StatusOr<int> v1 = service.CommitVersion("doc", DocText(1));
+  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+  EXPECT_EQ(*v1, 1);
+  service.Shutdown();
+}
+
 /// Flips a payload byte of the second record of the log at `path`.
 void CorruptSecondRecord(MemEnv* env, const std::string& path) {
   auto file = env->NewRandomAccessFile(path);

@@ -12,6 +12,8 @@
 # them (old versions diff, commits continue, a different base is refused),
 # and a non-adjacent vdiff of the replicated store reads both versions
 # from the store rather than from the commit log.
+# A diff of two documents nested 40,000 deep must get an error answer,
+# and the server must still answer ping after it.
 # Any non-OK response, non-zero exit or missing output fails the script.
 # Because stdin is /dev/null the whole run also proves that EOF on stdin
 # does not stop the server.
@@ -148,6 +150,17 @@ if "$client" --port "$port" open --replicas 1 ../x sexpr "$old" \
   2>/dev/null; then
   fail "unsafe doc id accepted"
 fi
+
+# One diff of two 40,000-level documents (120 KB each) is refused, not a
+# crash: the parser bounds nesting, and the server keeps answering.
+deep="$(printf '%40000s' '' | sed 's/ /(a/g')$(printf '%40000s' '' | tr ' ' ')')"
+if "$client" --port "$port" diff sexpr "$deep" "$deep" \
+  >/dev/null 2>"$work/deep.err"; then
+  fail "deep: a 40,000-level document was accepted"
+fi
+grep -q 'ResourceExhausted' "$work/deep.err" ||
+  fail "deep: no ResourceExhausted in: $(cat "$work/deep.err")"
+expect ping-after-deep '^PONG$' ping
 
 stop_server
 first_port="$port"
