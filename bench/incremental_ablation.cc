@@ -9,8 +9,15 @@
 // kReference pre-pass (document-order scan, no fingerprint index) and the
 // kIndexed pre-pass must produce byte-identical edit scripts, or the run
 // exits 1. This is the same invariant tests/prune_identity_test.cc pins
-// down, re-checked here on the benchmark's larger documents, so the CI
-// smoke step catches divergence at scale.
+// down, re-checked here on the benchmark's larger documents (including a
+// chain where half the sentences repeat an earlier one), so the CI smoke
+// step catches divergence at scale.
+//
+// A duplicate fan-out row rides along too: 64,000 identical sentences with
+// one appended, diffed under kIndexed with a 500 ms deadline. The run
+// exits 1 if that diff leaves the FastMatch rung, i.e. if the share-map
+// pre-pass (which runs before the budget is consulted) stops being linear
+// in duplicate content.
 //
 // Usage: incremental_ablation [--json] [--tiny]
 //   --json   machine-readable rows (EXPERIMENTS.md / CI parsing)
@@ -28,6 +35,7 @@
 #include "bench/bench_common.h"
 #include "core/diff.h"
 #include "core/script_io.h"
+#include "util/budget.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -57,17 +65,31 @@ std::vector<Chain> MakeChains(bool tiny, std::shared_ptr<LabelTable> labels) {
   // labels and values), matching the adversarial property-test workload.
   params.duplicate_sentence_probability = 0.1;
   Tree base = GenerateDocument(params, vocab, &rng, labels);
-  const int leaves = static_cast<int>(base.Leaves().size());
+  // Half the sentences repeating an earlier one: long fingerprint chains
+  // whose cursors travel far, the duplicate-heavy identity check. Its own
+  // generator leaves the other chains' documents as they were.
+  params.duplicate_sentence_probability = 0.5;
+  Rng dup_rng(20260809);
+  Tree dup_base = GenerateDocument(params, vocab, &dup_rng, labels);
 
+  struct Spec {
+    std::string name;
+    double rate;
+    const Tree* base;
+  };
+  const std::vector<Spec> specs = {{"1% edits", 0.01, &base},
+                                   {"5% edits", 0.05, &base},
+                                   {"20% edits", 0.20, &base},
+                                   {"5% edits, dup 0.5", 0.05, &dup_base}};
   std::vector<Chain> chains;
-  for (double rate : {0.01, 0.05, 0.20}) {
+  for (const Spec& spec : specs) {
     Chain chain;
-    chain.name = std::to_string(static_cast<int>(rate * 100)) + "% edits";
-    chain.edit_rate = rate;
-    chain.leaves = leaves;
-    chain.edits_per_version =
-        std::max(1, static_cast<int>(rate * static_cast<double>(leaves)));
-    chain.versions.push_back(base.Clone());
+    chain.name = spec.name;
+    chain.edit_rate = spec.rate;
+    chain.leaves = static_cast<int>(spec.base->Leaves().size());
+    chain.edits_per_version = std::max(
+        1, static_cast<int>(spec.rate * static_cast<double>(chain.leaves)));
+    chain.versions.push_back(spec.base->Clone());
     for (int v = 0; v < chain_length; ++v) {
       SimulatedVersion next =
           SimulateNewVersion(chain.versions.back(), chain.edits_per_version,
@@ -77,6 +99,43 @@ std::vector<Chain> MakeChains(bool tiny, std::shared_ptr<LabelTable> labels) {
     chains.push_back(std::move(chain));
   }
   return chains;
+}
+
+/// The duplicate fan-out: kLeaves identical sentences, one more in the new
+/// version, diffed under kIndexed with a 500 ms deadline.
+struct FanOut {
+  static constexpr int kLeaves = 64000;
+  double ms = 0.0;
+  DiffRung rung = DiffRung::kFastMatch;
+  size_t ops = 0;
+};
+
+FanOut RunFanOut(std::shared_ptr<LabelTable> labels) {
+  Tree t1(labels);
+  Tree t2(labels);
+  const NodeId r1 = t1.AddRoot("D");
+  const NodeId r2 = t2.AddRoot("D");
+  for (int i = 0; i < FanOut::kLeaves; ++i) {
+    t1.AddChild(r1, "S", "the same sentence again");
+    t2.AddChild(r2, "S", "the same sentence again");
+  }
+  t2.AddChild(r2, "S", "the same sentence again");
+  Budget budget = Budget::Deadline(0.5);
+  DiffOptions options;
+  options.share_mode = ShareMode::kIndexed;
+  options.budget = &budget;
+  WallTimer timer;
+  auto result = DiffTrees(t1, t2, options);
+  FanOut run;
+  run.ms = timer.ElapsedMicros() / 1e3;
+  if (!result.ok()) {
+    std::fprintf(stderr, "DiffTrees failed (fan-out): %s\n",
+                 result.status().ToString().c_str());
+    std::exit(1);
+  }
+  run.rung = result->report.rung;
+  run.ops = result->script.size();
+  return run;
 }
 
 /// Mean milliseconds per chain link for one ShareMode, plus the scripts so
@@ -179,6 +238,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const FanOut fan_out = RunFanOut(labels);
+  if (fan_out.rung != DiffRung::kFastMatch) {
+    std::fprintf(stderr,
+                 "incremental_ablation: FAILED (duplicate fan-out fell to %s "
+                 "after %.1f ms)\n",
+                 DiffRungName(fan_out.rung), fan_out.ms);
+    return 1;
+  }
+
   if (json) {
     std::printf("[\n");
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -187,24 +255,29 @@ int main(int argc, char** argv) {
           "  {\"chain\": \"%s\", \"leaves\": %d, \"edits_per_version\": %d, "
           "\"links\": %d, \"unpruned_ms\": %.3f, \"pruned_ms\": %.3f, "
           "\"speedup\": %.2f, \"ops\": %zu, \"settled_subtrees\": %zu, "
-          "\"identical\": true}%s\n",
+          "\"identical\": true},\n",
           r.name.c_str(), r.leaves, r.edits, r.links, r.off_ms, r.idx_ms,
-          r.speedup, r.ops, r.settled, i + 1 < rows.size() ? "," : "");
+          r.speedup, r.ops, r.settled);
     }
+    std::printf(
+        "  {\"chain\": \"duplicate fan-out\", \"leaves\": %d, "
+        "\"deadline_ms\": 500, \"pruned_ms\": %.3f, \"rung\": \"%s\", "
+        "\"ops\": %zu}\n",
+        FanOut::kLeaves, fan_out.ms, DiffRungName(fan_out.rung), fan_out.ops);
     std::printf("]\n");
     return 0;
   }
 
   std::printf("Incremental ablation: pruned (share-map) vs unpruned diffing "
               "over version chains\n");
-  std::printf("(%d leaves/doc, %d links per chain, scripts byte-identical "
-              "reference vs indexed)\n\n",
-              rows.empty() ? 0 : rows.front().leaves,
+  std::printf("(%d links per chain, scripts byte-identical reference vs "
+              "indexed)\n\n",
               rows.empty() ? 0 : rows.front().links);
-  TablePrinter table({"chain", "edits/v", "unpruned ms", "pruned ms",
-                      "speedup", "ops", "settled"});
+  TablePrinter table({"chain", "leaves", "edits/v", "unpruned ms",
+                      "pruned ms", "speedup", "ops", "settled"});
   for (const Row& r : rows) {
-    table.AddRow({r.name, TablePrinter::Fmt(static_cast<int64_t>(r.edits)),
+    table.AddRow({r.name, TablePrinter::Fmt(static_cast<int64_t>(r.leaves)),
+                  TablePrinter::Fmt(static_cast<int64_t>(r.edits)),
                   TablePrinter::Fmt(r.off_ms, 2),
                   TablePrinter::Fmt(r.idx_ms, 2),
                   TablePrinter::Fmt(r.speedup, 2) + "x",
@@ -213,5 +286,9 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf("\nAll chain links byte-identical across pre-pass "
               "implementations.\n");
+  std::printf("Duplicate fan-out (%d identical sentences + 1, kIndexed, "
+              "500 ms deadline): %.2f ms, rung %s, %zu op(s).\n",
+              FanOut::kLeaves, fan_out.ms, DiffRungName(fan_out.rung),
+              fan_out.ops);
   return 0;
 }

@@ -11,6 +11,7 @@
 #include "core/diff.h"
 #include "core/fast_match.h"
 #include "core/keyed_match.h"
+#include "core/share_map.h"
 #include "core/script_io.h"
 #include "doc/latex_parser.h"
 #include "doc/markdown_parser.h"
@@ -19,6 +20,7 @@
 #include "gen/doc_gen.h"
 #include "gen/edit_sim.h"
 #include "tree/builder.h"
+#include "tree/tree_index.h"
 #include "lcs/lcs.h"
 #include "zs/zhang_shasha.h"
 
@@ -154,6 +156,67 @@ void BM_EndToEndDiffBudgeted(benchmark::State& state) {
                           static_cast<int64_t>(w.old_tree.size()));
 }
 BENCHMARK(BM_EndToEndDiffBudgeted)->Arg(4)->Arg(16)->Arg(48);
+
+/// The share-map pre-pass (PrematchSharedSubtrees, kIndexed) alone, over
+/// warm indexes as the service runs it: the map build, the top-down walk
+/// and the wholesale settles. "chain64" is a 64-section document with 10%
+/// duplicate sentences against its 1%-edit successor (perfbench's `chain`
+/// shape); "fanout16000" is 16,000 identical sentences against the same
+/// plus one, where every lookup lands on one 16,001-node fingerprint chain.
+Workload SharePrepassWorkload(bool fan_out) {
+  static Vocabulary vocab(3000, 1.0);
+  Workload w{std::make_shared<LabelTable>(), Tree(nullptr), Tree(nullptr)};
+  if (fan_out) {
+    w.old_tree = Tree(w.labels);
+    w.new_tree = Tree(w.labels);
+    const NodeId r1 = w.old_tree.AddRoot("D");
+    const NodeId r2 = w.new_tree.AddRoot("D");
+    for (int i = 0; i < 16000; ++i) {
+      w.old_tree.AddChild(r1, "S", "the same sentence again");
+      w.new_tree.AddChild(r2, "S", "the same sentence again");
+    }
+    w.new_tree.AddChild(r2, "S", "the same sentence again");
+    return w;
+  }
+  Rng rng(64);
+  DocGenParams params;
+  params.sections = 64;
+  params.min_paragraphs_per_section = 4;
+  params.max_paragraphs_per_section = 8;
+  params.duplicate_sentence_probability = 0.1;
+  w.old_tree = GenerateDocument(params, vocab, &rng, w.labels);
+  const int edits = static_cast<int>(w.old_tree.Leaves().size() / 100) + 1;
+  SimulatedVersion v =
+      SimulateNewVersion(w.old_tree, edits, {}, vocab, &rng);
+  w.new_tree = std::move(v.new_tree);
+  return w;
+}
+
+void BM_SharePrepass(benchmark::State& state, bool fan_out) {
+  Workload w = SharePrepassWorkload(fan_out);
+  TreeIndex i1(w.old_tree);
+  TreeIndex i2(w.new_tree);
+  i1.WarmAll();
+  i2.WarmAll();
+  DiffOptions options;
+  options.share_mode = ShareMode::kIndexed;
+  options.index1 = &i1;
+  options.index2 = &i2;
+  DiffContext ctx(w.old_tree, w.new_tree, options);
+  size_t settled = 0;
+  for (auto _ : state) {
+    ShareStats stats;
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    Matching seed = PrematchSharedSubtrees(ctx, true, &stats, &pairs);
+    benchmark::DoNotOptimize(seed);
+    settled = stats.settled_subtrees;
+  }
+  state.counters["settled"] = static_cast<double>(settled);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(w.new_tree.size()));
+}
+BENCHMARK_CAPTURE(BM_SharePrepass, chain64, false);
+BENCHMARK_CAPTURE(BM_SharePrepass, fanout16000, true);
 
 void BM_ZhangShasha(benchmark::State& state) {
   Workload w = MakeWorkload(static_cast<int>(state.range(0)), 10);

@@ -54,10 +54,11 @@ const char* DiffRungName(DiffRung rung);
 ///    verification baseline the pruned path is byte-compared against.
 ///  * kIndexed — the same decision rule answered through the per-diff
 ///    share-map (combined subtree fingerprints -> document-order node
-///    lists, every candidate re-verified by actual subtree comparison).
+///    chains, every candidate re-verified by actual subtree comparison).
 ///    Produces the identical matching to kReference by construction —
-///    identical subtrees always share a fingerprint and bucket lists
-///    preserve document order — at O(n + shared bytes) cost.
+///    identical subtrees always share a fingerprint, chains preserve
+///    document order, and their cursors only pass nodes the rule excludes
+///    for good — at O(n + shared bytes) cost, duplicates included.
 enum class ShareMode { kOff, kReference, kIndexed };
 
 /// Options controlling the end-to-end change-detection pipeline.

@@ -1,11 +1,9 @@
 #include "core/keyed_match.h"
 
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <string_view>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,24 +36,6 @@ KeyIndex IndexKeys(const Tree& t, const KeyFn& key_fn) {
     if (!inserted) it->second = kInvalidNode;  // Duplicate: void the key.
   }
   return index;
-}
-
-/// True if no node of x's subtree (T1) or of y's identically shaped subtree
-/// (T2) is matched yet, as MatchSubtreePair requires. A duplicate sentence
-/// paired earlier in document order, or a seed pair under an unsettled
-/// parent, would otherwise be paired a second time.
-bool SubtreesUnmatched(const Tree& t1, NodeId x, const Tree& t2, NodeId y,
-                       const Matching& m) {
-  std::vector<std::pair<NodeId, NodeId>> stack = {{x, y}};
-  while (!stack.empty()) {
-    auto [a, b] = stack.back();
-    stack.pop_back();
-    if (m.HasT1(a) || m.HasT2(b)) return false;
-    const auto& ka = t1.children(a);
-    const auto& kb = t2.children(b);
-    for (size_t i = 0; i < ka.size(); ++i) stack.push_back({ka[i], kb[i]});
-  }
-  return true;
 }
 
 }  // namespace
@@ -142,8 +122,6 @@ Matching ComputeHybridMatch(const Tree& t1, const Tree& t2,
 
 Matching ComputeStructuralMatch(const Tree& t1, const Tree& t2,
                                 const Matching* seed) {
-  // SubtreesIdentical / MatchSubtreePair live in core/share_map.h — the
-  // same collision guard and wholesale settling the share-map pre-pass uses.
   Matching m = seed != nullptr ? *seed
                                : Matching(t1.id_bound(), t2.id_bound());
   if (t1.root() == kInvalidNode || t2.root() == kInvalidNode) return m;
@@ -157,28 +135,53 @@ Matching ComputeStructuralMatch(const Tree& t1, const Tree& t2,
   const TreeIndex* i2 = t2.attached_index();
   if (i2 == nullptr) i2 = &local2.emplace(t2);
 
-  // Pass 1: greedy identical-subtree matching in document order. A root may
-  // only pair with the other root, so the root pairing GenerateEditScript
-  // requires is never usurped by some interior twin.
-  std::unordered_map<uint64_t, std::vector<NodeId>> by_hash;
-  for (NodeId y : i2->PreOrder()) {
-    by_hash[i2->SubtreeHash(y)].push_back(y);
+  // A subtree may only be paired wholesale when no node in it is matched
+  // yet on either side (a duplicate sentence paired earlier in document
+  // order, or a seed pair under an unsettled parent, would otherwise be
+  // paired a second time). tainted1/tainted2 mark the proper ancestors of
+  // matched nodes, so "subtree entirely unmatched" is two O(1) lookups.
+  std::vector<char> tainted1(static_cast<size_t>(t1.id_bound()), 0);
+  std::vector<char> tainted2(static_cast<size_t>(t2.id_bound()), 0);
+  if (m.size() > 0) {
+    for (NodeId x : i1->PreOrder()) {
+      if (m.HasT1(x)) TaintAncestors(t1, x, &tainted1);
+    }
+    for (NodeId y : i2->PreOrder()) {
+      if (m.HasT2(y)) TaintAncestors(t2, y, &tainted2);
+    }
   }
+
+  // Pass 1: greedy identical-subtree matching in document order through
+  // the share-map (core/share_map.h) — the same fingerprint chains, cursors
+  // and verification the pre-pass uses. Matched and tainted T2 nodes stay
+  // unusable for the rest of the pass, so the cursors skip them for good.
+  // A root may only pair with the other root, so the root pairing
+  // GenerateEditScript requires is never usurped by some interior twin.
+  ShareMap map = ShareMap::Build(*i2);
+  SubtreePairWalker walk;
+  auto spent = [&](NodeId y) {
+    return m.HasT2(y) || tainted2[static_cast<size_t>(y)];
+  };
   std::vector<NodeId> stack = {t1.root()};
   while (!stack.empty()) {
     const NodeId x = stack.back();
     stack.pop_back();
     // A seed pair settles its whole subtree (the pre-pass matches
-    // wholesale), so a settled x needs neither probing nor descent.
+    // wholesale), so a settled x needs neither probing nor descent. A
+    // tainted x has no twin it could take, only descendants to probe.
     bool matched = m.HasT1(x);
-    auto it = matched ? by_hash.end() : by_hash.find(i1->SubtreeHash(x));
-    if (it != by_hash.end()) {
-      for (NodeId y : it->second) {
-        if (m.HasT2(y)) continue;
+    const int slot = matched || tainted1[static_cast<size_t>(x)]
+                         ? ShareMap::kNoSlot
+                         : map.Find(i1->SubtreeHash(x));
+    if (slot != ShareMap::kNoSlot) {
+      for (NodeId y = map.SkipSpent(slot, spent); y != kInvalidNode;
+           y = map.Next(y)) {
+        if (spent(y)) continue;
         if ((x == t1.root()) != (y == t2.root())) continue;
-        if (!SubtreesIdentical(t1, x, t2, y)) continue;
-        if (!SubtreesUnmatched(t1, x, t2, y, m)) continue;
-        MatchSubtreePair(t1, x, t2, y, &m);
+        if (!walk.Identical(t1, x, t2, y)) continue;
+        walk.Match(t1, x, t2, y, &m);
+        TaintAncestors(t1, x, &tainted1);
+        TaintAncestors(t2, y, &tainted2);
         matched = true;
         break;
       }
@@ -199,21 +202,29 @@ Matching ComputeStructuralMatch(const Tree& t1, const Tree& t2,
 
   // Pass 2: leftover leaves by exact (label, value), document order.
   // Pass 3: leftover internal nodes by label alone, document order.
-  std::map<std::pair<LabelId, std::string>, std::vector<NodeId>> leaves2;
-  std::map<LabelId, std::vector<NodeId>> internal2;
+  // Nodes only ever become matched here, so each bucket keeps a cursor
+  // past its matched front instead of rescanning from the start.
+  struct Bucket {
+    std::vector<NodeId> nodes;
+    size_t front = 0;
+  };
+  std::map<std::pair<LabelId, std::string>, Bucket> leaves2;
+  std::map<LabelId, Bucket> internal2;
   for (NodeId y : i2->PreOrder()) {
     if (m.HasT2(y) || y == t2.root()) continue;
     if (t2.IsLeaf(y)) {
-      leaves2[{t2.label(y), t2.value(y)}].push_back(y);
+      leaves2[{t2.label(y), t2.value(y)}].nodes.push_back(y);
     } else {
-      internal2[t2.label(y)].push_back(y);
+      internal2[t2.label(y)].nodes.push_back(y);
     }
   }
-  auto take_first_free = [&m](std::vector<NodeId>& bucket) {
-    for (NodeId y : bucket) {
-      if (!m.HasT2(y)) return y;
+  auto take_first_free = [&m](Bucket& bucket) {
+    while (bucket.front < bucket.nodes.size() &&
+           m.HasT2(bucket.nodes[bucket.front])) {
+      ++bucket.front;
     }
-    return kInvalidNode;
+    return bucket.front < bucket.nodes.size() ? bucket.nodes[bucket.front]
+                                              : kInvalidNode;
   };
   for (NodeId x : i1->PreOrder()) {
     if (m.HasT1(x) || x == t1.root()) continue;

@@ -57,9 +57,14 @@ std::optional<std::string> ValuePrefixKey(const Tree& tree, NodeId node);
 /// Budget has already exhausted.
 ///
 ///  1. Identical subtrees (labels, values, shapes) are matched greedily in
-///     document order via bottom-up subtree hashing, all descendants at once.
+///     document order, all descendants at once, through the share-map's
+///     subtree-fingerprint chains (core/share_map.h). A subtree pairs only
+///     when no node of it is matched yet on either side.
 ///  2. Leftover leaves are matched by exact (label, value) in document order.
 ///  3. Leftover internal nodes are matched by label in document order.
+///
+/// Every fingerprint chain and bucket keeps a cursor past its matched front,
+/// so duplicate content costs one step per node, not a rescan per lookup.
 ///
 /// The result is a valid matching for GenerateEditScript (labels of every
 /// pair agree) but can be far from minimal — unlike FastMatch it never pays

@@ -116,16 +116,6 @@ void Tree::NotifyGoneAndClear() const {
   observers_.clear();
 }
 
-const Tree::NodeRec& Tree::node(NodeId x) const {
-  assert(x >= 0 && static_cast<size_t>(x) < nodes_.size());
-  return nodes_[static_cast<size_t>(x)];
-}
-
-Tree::NodeRec& Tree::node(NodeId x) {
-  assert(x >= 0 && static_cast<size_t>(x) < nodes_.size());
-  return nodes_[static_cast<size_t>(x)];
-}
-
 NodeId Tree::AddRoot(LabelId label, std::string value) {
   AbortIfFrozen("AddRoot");
   assert(root_ == kInvalidNode && "tree already has a root");

@@ -1,6 +1,7 @@
 #ifndef TREEDIFF_TREE_TREE_H_
 #define TREEDIFF_TREE_TREE_H_
 
+#include <cassert>
 #include <memory>
 #include <string>
 #include <vector>
@@ -236,8 +237,14 @@ class Tree {
     bool alive = true;
   };
 
-  const NodeRec& node(NodeId x) const;
-  NodeRec& node(NodeId x);
+  const NodeRec& node(NodeId x) const {
+    assert(x >= 0 && static_cast<size_t>(x) < nodes_.size());
+    return nodes_[static_cast<size_t>(x)];
+  }
+  NodeRec& node(NodeId x) {
+    assert(x >= 0 && static_cast<size_t>(x) < nodes_.size());
+    return nodes_[static_cast<size_t>(x)];
+  }
   void DebugStringRec(NodeId x, std::string* out) const;
 
   /// Aborts with a diagnostic if the tree is frozen. Guards the mutation

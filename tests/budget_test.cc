@@ -9,6 +9,7 @@
 #include "gen/doc_gen.h"
 #include "gen/edit_sim.h"
 #include "tree/builder.h"
+#include "tree/tree_index.h"
 
 namespace treediff {
 namespace {
@@ -299,6 +300,48 @@ TEST(DiffLadderTest, MillisecondDeadlineOnTenThousandNodePair) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->report.degraded);
   EXPECT_EQ(budget.exhaustion_code(), Code::kDeadlineExceeded);
+  Tree replay = t1.Clone();
+  ASSERT_TRUE(result->script.ApplyTo(&replay).ok());
+  EXPECT_TRUE(Tree::Isomorphic(replay, t2));
+}
+
+// Duplicate fan-out: 64,000 identical sentences, one appended in the new
+// version. The share-map pre-pass runs before the budget is consulted, so
+// it must stay linear in duplicates (one cursor step per spent twin) for
+// FastMatch to see the deadline intact; a pre-pass that rescans its
+// candidates per lookup takes seconds here and degrades the request.
+TEST(DiffLadderTest, DuplicateFanOutMeetsItsDeadlineOnFastMatch) {
+  auto labels = std::make_shared<LabelTable>();
+  Tree t1(labels);
+  Tree t2(labels);
+  const NodeId r1 = t1.AddRoot("D");
+  const NodeId r2 = t2.AddRoot("D");
+  constexpr int kLeaves = 64000;
+  for (int i = 0; i < kLeaves; ++i) {
+    t1.AddChild(r1, "S", "the same sentence again");
+    t2.AddChild(r2, "S", "the same sentence again");
+  }
+  t2.AddChild(r2, "S", "the same sentence again");
+  // Indexes built up front, as the service's tree cache holds them: the
+  // deadline covers the diff, not the parse.
+  TreeIndex i1(t1);
+  TreeIndex i2(t2);
+  i1.WarmAll();
+  i2.WarmAll();
+
+  Budget budget = Budget::Deadline(0.5);
+  DiffOptions options;
+  options.share_mode = ShareMode::kIndexed;
+  options.index1 = &i1;
+  options.index2 = &i2;
+  options.budget = &budget;
+  auto result = DiffTrees(t1, t2, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->report.rung, DiffRung::kFastMatch);
+  EXPECT_FALSE(result->report.degraded);
+  EXPECT_EQ(result->report.prune_settled_subtrees, size_t{kLeaves});
+  ASSERT_EQ(result->script.size(), 1u);
+  EXPECT_EQ(result->script.num_inserts(), 1u);
   Tree replay = t1.Clone();
   ASSERT_TRUE(result->script.ApplyTo(&replay).ok());
   EXPECT_TRUE(Tree::Isomorphic(replay, t2));

@@ -106,6 +106,64 @@ TEST(PruneIdentityTest, IndexedAndReferenceAgreeAcrossSixtyFourSeeds) {
   EXPECT_GT(seeds_with_pruning, 32u);
 }
 
+TEST(PruneIdentityTest, IndexedAndReferenceAgreeOnEveryPairOfDuplicateChains) {
+  // Stored-version workloads at scale: every (older, newer) pair of two
+  // 12-version chains of 64-section documents in which half the sentences
+  // repeat an earlier one. Long runs of equal fingerprints move the
+  // share-map cursors far, and unique subtrees exhaust theirs, so a slot
+  // whose exhausted cursor ended other fingerprints' probe sequences would
+  // settle fewer pairs here.
+  Vocabulary vocab(3000, 1.0);
+  size_t pairs = 0;
+  size_t settled = 0;
+  for (uint64_t seed : {11u, 12u}) {
+    Rng rng(seed);
+    DocGenParams params;
+    params.sections = 64;
+    params.min_paragraphs_per_section = 4;
+    params.max_paragraphs_per_section = 8;
+    params.duplicate_sentence_probability = 0.5;
+    auto labels = std::make_shared<LabelTable>();
+    std::vector<Tree> versions;
+    versions.push_back(GenerateDocument(params, vocab, &rng, labels));
+    const int edits =
+        static_cast<int>(versions.front().Leaves().size() / 100) + 1;
+    while (versions.size() < 12) {
+      SimulatedVersion next = SimulateNewVersion(versions.back(), edits,
+                                                 MoveHeavyMix(), vocab, &rng);
+      versions.push_back(std::move(next.new_tree));
+    }
+    for (size_t i = 0; i < versions.size(); ++i) {
+      for (size_t j = i + 1; j < versions.size(); ++j) {
+        const Tree& t1 = versions[i];
+        const Tree& t2 = versions[j];
+        auto reference = DiffWith(t1, t2, ShareMode::kReference);
+        auto indexed = DiffWith(t1, t2, ShareMode::kIndexed);
+        ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+        ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+        const std::string where = "seed " + std::to_string(seed) + " v" +
+                                  std::to_string(i) + "->v" +
+                                  std::to_string(j);
+        EXPECT_EQ(reference->report.prune_settled_subtrees,
+                  indexed->report.prune_settled_subtrees)
+            << where;
+        EXPECT_EQ(reference->report.prune_settled_nodes,
+                  indexed->report.prune_settled_nodes)
+            << where;
+        EXPECT_EQ(reference->matching.Pairs(), indexed->matching.Pairs())
+            << where;
+        EXPECT_EQ(FormatEditScript(reference->script, t1.labels()),
+                  FormatEditScript(indexed->script, t1.labels()))
+            << where;
+        settled += indexed->report.prune_settled_subtrees;
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 132u);
+  EXPECT_GT(settled, 132u * 100);  // The pre-pass does the bulk of the work.
+}
+
 TEST(PruneIdentityTest, OffModeStillProducesCorrectScripts) {
   // kOff is the legacy pipeline; the pruned modes make no byte-identity
   // claim against it (FastMatch may pair interchangeable duplicates
@@ -156,27 +214,32 @@ TEST(ShareMapTest, VerificationRejectsPlantedCollisions) {
   TreeIndex i1(t1);
   TreeIndex i2(t2);
   ShareMap map = ShareMap::Build(i2);
+  SubtreePairWalker walk;
+  auto never_spent = [](NodeId) { return false; };
 
   // t1's second paragraph (P (S "bb")) has no twin in t2. Plant t2's
-  // (P (S "cc")) into its fingerprint bucket — a deliberate collision — and
+  // (P (S "cc")) into its fingerprint chain — a deliberate collision — and
   // verify the byte-wise comparison rejects it, which is the invariant that
   // makes fingerprint collisions harmless.
   const NodeId pb = t1.children(t1.root())[1];
   const NodeId pc = t2.children(t2.root())[1];
   const uint64_t fp = i1.SubtreeHash(pb);
-  ASSERT_EQ(map.Candidates(fp), nullptr);  // No honest candidate exists.
+  ASSERT_EQ(map.Find(fp), ShareMap::kNoSlot);  // No honest candidate exists.
   map.AddForTest(fp, pc);
-  const std::vector<NodeId>* candidates = map.Candidates(fp);
-  ASSERT_NE(candidates, nullptr);
-  ASSERT_EQ(candidates->size(), 1u);
-  EXPECT_FALSE(SubtreesIdentical(t1, pb, t2, (*candidates)[0]));
+  const int planted = map.Find(fp);
+  ASSERT_NE(planted, ShareMap::kNoSlot);
+  const NodeId candidate = map.SkipSpent(planted, never_spent);
+  ASSERT_EQ(candidate, pc);
+  EXPECT_EQ(map.Next(candidate), kInvalidNode);  // The only candidate.
+  EXPECT_FALSE(walk.Identical(t1, pb, t2, candidate));
 
   // The honest candidate for the first paragraph verifies.
   const NodeId pa1 = t1.children(t1.root())[0];
   const NodeId pa2 = t2.children(t2.root())[0];
-  const std::vector<NodeId>* honest = map.Candidates(i1.SubtreeHash(pa1));
-  ASSERT_NE(honest, nullptr);
-  EXPECT_TRUE(SubtreesIdentical(t1, pa1, t2, pa2));
+  const int honest = map.Find(i1.SubtreeHash(pa1));
+  ASSERT_NE(honest, ShareMap::kNoSlot);
+  ASSERT_EQ(map.SkipSpent(honest, never_spent), pa2);
+  EXPECT_TRUE(walk.Identical(t1, pa1, t2, pa2));
 }
 
 TEST(ShareMapTest, StructuralAndLiteralHashesSplitCleanly) {
