@@ -88,16 +88,13 @@ int main(int argc, char** argv) {
   };
 
   // ---- Byte-identity gate -------------------------------------------------
-  // Two fresh services with identical label interning, both incremental as
-  // tools/treediff_serve deploys them; every response that crosses the wire
-  // must match the direct Submit path byte for byte. Each pair is sent
-  // twice, so the second round is a diff-cache hit on both sides and the
-  // cached-answer path crosses the wire too.
+  // Two fresh services with identical label interning; every response
+  // that crosses the wire must match the direct Submit path byte for byte.
+  // Each pair is sent twice, so the second round is a diff-cache hit on
+  // both sides and the cached-answer path crosses the wire too.
   {
-    DiffServiceOptions so;
-    so.incremental = true;
-    DiffService reference(so);
-    DiffService served(so);
+    DiffService reference;
+    DiffService served;
     NetServer server(&served, server_options());
     if (!server.Start().ok()) {
       std::fprintf(stderr, "net_throughput: server start failed\n");
@@ -159,7 +156,7 @@ int main(int argc, char** argv) {
   bool all_ok = true;
 
   auto sweep_point = [&](int event_threads, size_t connections) {
-    DiffService service{DiffServiceOptions{}};
+    DiffService service;
     NetServerOptions o = server_options();
     o.num_event_threads = event_threads;
     NetServer server(&service, o);

@@ -3,11 +3,13 @@
 // workloads over the Section 8 synthetic documents:
 //
 //  * unique    — every request diffs a never-seen-before document pair, so
-//                every resolve is a parse + index (cache miss).
+//                every resolve is a parse + index (cache miss) and the
+//                pruned pipeline runs.
 //  * hot-pairs — requests cycle over a small set of version pairs, the
 //                warehouse pattern of diffing the same hot base against a
-//                stream of revisions; after first touch everything is a
-//                cache hit and the pipeline runs on borrowed warm indexes.
+//                stream of revisions; after first touch both trees come
+//                from the tree cache and the answer from the diff cache,
+//                so no pipeline runs.
 //
 // NOTE when reading the numbers: thread scaling can only show on a machine
 // with that many cores. On a single-core container every thread count

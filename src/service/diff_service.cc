@@ -71,6 +71,7 @@ DiffService::DiffService(DiffServiceOptions options)
       cache_(TreeCache::Options{kTreeCacheBytes, kTreeCacheShards}),
       pool_(ThreadPool::Options{std::max(options.num_threads, 1),
                                 std::max<size_t>(options.queue_capacity, 1)}) {
+  options_.diff.share_mode = ShareMode::kIndexed;
   requests_ = metrics_.counter("diff_requests_total");
   responses_ok_ = metrics_.counter("diff_responses_ok_total");
   responses_error_ = metrics_.counter("diff_responses_error_total");
@@ -327,44 +328,34 @@ void DiffService::StoreAnswer(uint64_t key_old, uint64_t key_new,
     }
   }
   answer_cache_.push_front({key_old, key_new, rung, std::move(answer)});
-  const size_t cap = std::max<size_t>(options_.matching_cache_entries, 1);
-  while (answer_cache_.size() > cap) answer_cache_.pop_back();
+  while (answer_cache_.size() > kDiffCacheEntries) answer_cache_.pop_back();
 }
 
-bool DiffService::ServeFromChainLog(const DiffRequest& request,
-                                    DiffResponse* response) {
+std::shared_ptr<const DiffService::Answer> DiffService::LogAnswer(
+    const DiffRequest& request, DiffRung start_rung) {
+  // Commits diff from kFastMatch: the log cannot answer a better rung.
   if (request.doc_id.empty() || request.from_version < 0 ||
-      request.to_version != request.from_version + 1) {
-    return false;
+      request.to_version != request.from_version + 1 ||
+      static_cast<int>(start_rung) < static_cast<int>(DiffRung::kFastMatch)) {
+    return nullptr;
   }
   StoreEntry* entry = FindStore(request.doc_id);
-  if (entry == nullptr) return false;  // Normal path reports kNotFound.
+  if (entry == nullptr) return nullptr;  // The resolve path reports it.
 
-  // The delta that takes from_version to to_version is exactly what the
-  // store replays inside Materialize, so answering with it skips resolve,
-  // matching, and generation outright. The script must be copied out (and
-  // formatted) under the store lock: the DeltaFor pointer dangles across
-  // the next Commit/RollbackHead.
-  bool served = false;
-  size_t operations = 0;
-  std::string text;
-  const Status status = GuardedStoreOp(entry, [&](VersionStore* store) {
-    const EditScript* delta = store->DeltaFor(request.to_version);
-    if (delta == nullptr) return Status::Ok();  // Fall through below.
-    operations = delta->size();
-    if (request.want_script_text) {
-      text = FormatEditScript(*delta, *store->label_table());
-    }
-    served = true;
-    return Status::Ok();
-  });
-  if (!status.ok() || !served) return false;
-
-  response->operations = operations;
-  response->script = std::move(text);
-  response->chain_log_hit = true;
-  chain_log_hits_->Increment();
-  return true;
+  // The script is copied under the entry lock: the DeltaFor pointer
+  // dangles across the next Commit/RollbackHead.
+  MutexLock lock(&entry->mu);
+  const std::shared_ptr<VersionStore> primary = entry->group->primary();
+  if (entry->health == StoreHealth::kQuarantined ||
+      !primary->io_status().ok()) {
+    return nullptr;
+  }
+  const EditScript* delta = primary->DeltaFor(request.to_version);
+  if (delta == nullptr) return nullptr;
+  auto answer = std::make_shared<Answer>();
+  answer->script = *delta;
+  answer->labels = primary->label_table();
+  return answer;
 }
 
 DiffResponse DiffService::Process(const DiffRequest& request,
@@ -413,10 +404,29 @@ DiffResponse DiffService::Process(const DiffRequest& request,
     budgeted = true;
   }
 
-  // Incremental chain path: an adjacent stored-mode request is answered
-  // from the commit log without resolving, matching, or generating.
-  if (options_.incremental && ServeFromChainLog(request, &response)) {
+  const DiffRung start_rung =
+      shed_degraded ? LowerRung(request.start_rung, kDegradedStartRung)
+                    : request.start_rung;
+
+  // Every answer, however it was found, is reported the same way.
+  auto serve = [&](const Answer& answer) {
+    response.rung = answer.rung;
+    response.operations = answer.script.size();
+    response.pruned_subtrees = answer.pruned_subtrees;
+    response.pruned_nodes = answer.pruned_nodes;
+    rung_counters_[static_cast<int>(answer.rung)]->Increment();
+    if (request.want_script_text) {
+      response.script = FormatEditScript(answer.script, *answer.labels);
+    }
     return finish(std::move(response));
+  };
+
+  // An adjacent stored-mode request is answered from the commit log
+  // without resolving, matching, or generating.
+  if (const auto logged = LogAnswer(request, start_rung)) {
+    response.chain_log_hit = true;
+    chain_log_hits_->Increment();
+    return serve(*logged);
   }
 
   // Resolve both documents through the tree cache.
@@ -453,23 +463,15 @@ DiffResponse DiffService::Process(const DiffRequest& request,
   diff.budget = budgeted ? &budget : nullptr;
   diff.index1 = &old_cached.index;
   diff.index2 = &new_cached.index;
-  diff.start_rung = request.start_rung;
-  if (shed_degraded) {
-    diff.start_rung =
-        LowerRung(diff.start_rung, kDegradedStartRung);
-  }
-  if (options_.incremental && diff.share_mode == ShareMode::kOff) {
-    diff.share_mode = ShareMode::kIndexed;
-  }
+  diff.start_rung = start_rung;
 
   // The diff cache: only unbudgeted requests read or write it (a budget can
   // stop the pipeline anywhere, so only a full, deterministic answer is
   // cacheable), keyed by the content fingerprints of both trees plus the
   // effective starting rung. A hit runs neither phase.
   std::shared_ptr<const Answer> answer;
-  const bool cacheable = options_.incremental && !budgeted;
-  if (cacheable) {
-    answer = LookupAnswer(old_cached.key, new_cached.key, diff.start_rung);
+  if (!budgeted) {
+    answer = LookupAnswer(old_cached.key, new_cached.key, start_rung);
     (answer != nullptr ? match_cache_hits_ : match_cache_misses_)
         ->Increment();
   }
@@ -498,20 +500,11 @@ DiffResponse DiffService::Process(const DiffRequest& request,
     fresh->pruned_subtrees = result->report.prune_settled_subtrees;
     fresh->pruned_nodes = result->report.prune_settled_nodes;
     answer = std::move(fresh);
-    if (cacheable && !response.degraded) {
-      StoreAnswer(old_cached.key, new_cached.key, diff.start_rung, answer);
+    if (!budgeted && !response.degraded) {
+      StoreAnswer(old_cached.key, new_cached.key, start_rung, answer);
     }
   }
-
-  response.rung = answer->rung;
-  response.operations = answer->script.size();
-  response.pruned_subtrees = answer->pruned_subtrees;
-  response.pruned_nodes = answer->pruned_nodes;
-  rung_counters_[static_cast<int>(response.rung)]->Increment();
-  if (request.want_script_text) {
-    response.script = FormatEditScript(answer->script, *answer->labels);
-  }
-  return finish(std::move(response));
+  return serve(*answer);
 }
 
 StatusOr<Tree> DiffService::ParseDoc(const std::string& text,

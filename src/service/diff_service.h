@@ -73,11 +73,12 @@ struct DiffResponse {
   bool cache_hit_old = false;  // Tree cache served the old / new document.
   bool cache_hit_new = false;
 
-  /// Incremental-serving provenance (DiffServiceOptions::incremental).
-  /// `matching_cache_hit` (a name the wire and its clients keep): answered
-  /// from the diff cache, so neither phase ran.
+  /// Where the answer came from. `matching_cache_hit` (a name the wire
+  /// and its clients keep): answered from the diff cache, so neither phase
+  /// ran. `chain_log_hit`: an adjacent stored-mode read answered with the
+  /// delta its commit stored, so nothing was resolved or diffed.
   bool matching_cache_hit = false;
-  bool chain_log_hit = false;       // Answered from the store's commit log.
+  bool chain_log_hit = false;
   size_t pruned_subtrees = 0;       // Share-map pre-pass wholesale matches.
   size_t pruned_nodes = 0;          // Nodes settled by those matches.
 
@@ -125,23 +126,9 @@ struct DiffServiceOptions {
   int breaker_failure_threshold = 3;
   double breaker_cooldown_seconds = 5.0;
 
-  /// Incremental serving. When on, every request runs the share-map
-  /// pre-pass (DiffOptions::share_mode = kIndexed) so matching and
-  /// generation cost track the edit rather than the document; an unbudgeted
-  /// request over the same (old, new) content fingerprints and start rung
-  /// as an earlier one is answered from the diff cache, with no pipeline
-  /// run; and a stored-mode request for adjacent versions (from = to - 1)
-  /// is answered straight from the version store's commit log — the stored
-  /// delta *is* the authoritative diff (Materialize replays it), so no
-  /// pipeline runs at all. Off by default: the service then behaves
-  /// byte-identically to the plain pipeline.
-  bool incremental = false;
-
-  /// Capacity, in entries, of the (old fingerprint, new fingerprint,
-  /// rung)-keyed diff cache used when `incremental` is on. An entry holds
-  /// one finished edit script, not the trees; lookups scan every entry, so
-  /// size this in tens, not thousands.
-  size_t matching_cache_entries = 64;
+  /// No effect: every DiffService serves incrementally. Kept only because
+  /// perfbench/driver.cc assigns it; it goes with that benchmark's next change.
+  bool incremental = true;
 
   /// Period of the background scrubber, which re-verifies the log
   /// checksums of every attached durable store (VersionStore::Scrub);
@@ -154,8 +141,9 @@ struct DiffServiceOptions {
   std::function<void(double seconds)> sleep;
 
   /// Base pipeline options (thresholds, matcher choice, cost model, ...).
-  /// `budget`, `index1`, and `index2` are overwritten per request. A custom
-  /// `comparator` must be thread-safe — the default (null: one
+  /// `budget`, `index1`, `index2` and `start_rung` are set per request;
+  /// `share_mode` is always kIndexed, the rule every commit applies. A
+  /// custom `comparator` must be thread-safe — the default (null: one
   /// WordLcsComparator per request) is.
   DiffOptions diff;
 };
@@ -169,6 +157,13 @@ struct DiffServiceOptions {
 /// nearly-full queue admits requests onto a lower rung of the degradation
 /// ladder so they cost less. Counters and latency histograms for every
 /// stage live in the service's MetricsRegistry.
+///
+/// Every request is served incrementally. Reads diff with the share-map
+/// pre-pass (ShareMode::kIndexed), so their cost tracks the edit, not the
+/// document. A repeated unbudgeted request is answered from the diff cache.
+/// An adjacent stored-mode read (from = to - 1) starting at kFastMatch or
+/// lower is answered with the delta its commit stored, which is what
+/// Materialize replays.
 ///
 /// Every store is a replication group (ReplicatedVersionStore); an
 /// in-memory store is a group of one. Reads come from the group's primary;
@@ -186,6 +181,10 @@ struct DiffServiceOptions {
 /// from any thread. Shutdown (or destruction) drains in-flight requests.
 class DiffService {
  public:
+  /// Diff-cache capacity, in finished edit scripts keyed by (old
+  /// fingerprint, new fingerprint, start rung); lookups scan every entry.
+  static constexpr size_t kDiffCacheEntries = 64;
+
   explicit DiffService(DiffServiceOptions options = {});
   ~DiffService();
 
@@ -310,9 +309,9 @@ class DiffService {
                        bool shed_degraded);
 
   /// One finished answer: what a response needs, with the label table its
-  /// script formats against (the old tree's). The diff cache holds only
-  /// undegraded ones, and they hold no tree, so they pin no tree-cache
-  /// entry.
+  /// script formats against (the old tree's, or the store's for a logged
+  /// delta). The diff cache holds only undegraded ones, and they hold no
+  /// tree, so they pin no tree-cache entry.
   struct Answer {
     EditScript script;
     std::shared_ptr<const LabelTable> labels;
@@ -328,16 +327,17 @@ class DiffService {
       EXCLUDES(answer_cache_mu_);
 
   /// Publishes an answer under its key, evicting the LRU tail beyond
-  /// DiffServiceOptions::matching_cache_entries.
+  /// kDiffCacheEntries.
   void StoreAnswer(uint64_t key_old, uint64_t key_new, DiffRung rung,
                    std::shared_ptr<const Answer> answer)
       EXCLUDES(answer_cache_mu_);
 
-  /// Serve-from-log: answers an adjacent stored-mode request (from = to-1)
-  /// directly from the store's commit log. Returns true and fills
-  /// `response` on success; false means "fall through to the pipeline"
-  /// (non-adjacent, store missing the delta, or store error).
-  bool ServeFromChainLog(const DiffRequest& request, DiffResponse* response)
+  /// The stored delta answering an adjacent stored-mode request that starts
+  /// at `start_rung`, or null to run the pipeline. An in-memory read: it
+  /// never repairs, moves the breaker or fast-fails; a poisoned or
+  /// quarantined store is left to the resolve path, which does.
+  std::shared_ptr<const Answer> LogAnswer(const DiffRequest& request,
+                                          DiffRung start_rung)
       EXCLUDES(stores_mu_);
 
   /// Resolves one document (inline text or stored version) to a cache
@@ -389,9 +389,9 @@ class DiffService {
   /// Ids claimed by a RecoverStore in progress.
   std::set<std::string> recovering_ GUARDED_BY(stores_mu_);
 
-  /// The diff cache (incremental serving). A plain mutex + LRU list: the
-  /// capacity is tens of entries, so a linear key scan beats hash-map
-  /// bookkeeping and keeps eviction trivial.
+  /// The diff cache. A plain mutex + LRU list: the capacity is tens of
+  /// entries, so a linear key scan beats hash-map bookkeeping and keeps
+  /// eviction trivial.
   struct AnswerSlot {
     uint64_t key_old = 0;
     uint64_t key_new = 0;

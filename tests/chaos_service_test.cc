@@ -142,21 +142,25 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
       readers.emplace_back([&, r] {
         std::mt19937 rng(static_cast<uint32_t>(seed * 131 + r));
         for (int i = 0; i < kReaderIterations; ++i) {
-          int from, to;
+          std::pair<int, int> from, to;  // (version, DocText index)
           {
             std::lock_guard<std::mutex> lock(acked_mu);
-            from = acked[rng() % acked.size()].first;
-            to = acked[rng() % acked.size()].first;
+            from = acked[rng() % acked.size()];
+            to = acked[rng() % acked.size()];
           }
           DiffRequest request;
           request.doc_id = "doc";
-          request.from_version = from;
-          request.to_version = to;
+          request.from_version = from.first;
+          request.to_version = to.first;
           DiffResponse response = service.SubmitSync(std::move(request));
           // kUnavailable (quarantine), kFailedPrecondition and friends are
-          // legitimate on faulty seeds; a served diff must be a real one.
-          if (response.status.ok() && from != to) {
-            EXPECT_GE(response.operations, 0u);
+          // legitimate on faulty seeds; a served diff, whether from the
+          // pipeline, the diff cache or the commit log, must be empty
+          // exactly when both versions hold the same document.
+          if (response.status.ok()) {
+            EXPECT_EQ(response.operations == 0, from.second == to.second)
+                << "v" << from.first << " -> v" << to.first << ": "
+                << response.operations << " ops";
           }
         }
       });

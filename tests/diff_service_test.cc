@@ -101,6 +101,7 @@ TEST(DiffServiceTest, RepeatedBaseHitsTheCache) {
   ASSERT_TRUE(second.status.ok());
   EXPECT_TRUE(second.cache_hit_old);
   EXPECT_TRUE(second.cache_hit_new);
+  EXPECT_TRUE(second.matching_cache_hit);
   // Cache hit or miss, the script is the same bytes.
   EXPECT_EQ(second.script, first.script);
 
@@ -165,23 +166,27 @@ TEST(DiffServiceTest, StoredVersionDiff) {
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
   EXPECT_EQ(*v1, 1);
 
+  // 1 -> 0 is not an adjacent (from = to - 1) read, so the commit log does
+  // not answer it: both versions are materialized and diffed.
   DiffRequest request;
   request.doc_id = "doc";
-  request.from_version = 0;
-  request.to_version = 1;
+  request.from_version = 1;
+  request.to_version = 0;
   DiffResponse response = service.SubmitSync(std::move(request));
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_FALSE(response.chain_log_hit);
   EXPECT_GT(response.operations, 0u);
 
   // Same versions again: both sides now come from the cache.
   DiffRequest again;
   again.doc_id = "doc";
-  again.from_version = 0;
-  again.to_version = 1;
+  again.from_version = 1;
+  again.to_version = 0;
   DiffResponse cached = service.SubmitSync(std::move(again));
   ASSERT_TRUE(cached.status.ok());
   EXPECT_TRUE(cached.cache_hit_old);
   EXPECT_TRUE(cached.cache_hit_new);
+  EXPECT_TRUE(cached.matching_cache_hit);
   EXPECT_EQ(cached.script, response.script);
 }
 
@@ -332,6 +337,12 @@ TEST(DiffServiceTest, MetricsAccumulateAcrossRequests) {
   EXPECT_EQ(m.counter("diff_rung_total{rung=\"FastMatch\"}")->Value(), 5u);
   EXPECT_EQ(m.histogram("diff_e2e_seconds")->Count(), 5u);
   EXPECT_EQ(m.histogram("diff_queue_wait_seconds")->Count(), 5u);
+  // One pipeline run; the four repeats are diff-cache hits, which add no
+  // phase samples.
+  EXPECT_EQ(m.counter("diff_match_cache_misses_total")->Value(), 1u);
+  EXPECT_EQ(m.counter("diff_match_cache_hits_total")->Value(), 4u);
+  EXPECT_EQ(m.histogram("diff_match_seconds")->Count(), 1u);
+  EXPECT_EQ(m.histogram("diff_gen_seconds")->Count(), 1u);
   const std::string text = m.PrometheusExposition();
   EXPECT_NE(text.find("diff_requests_total 5"), std::string::npos);
   EXPECT_NE(text.find("tree_cache_hits_total 8"), std::string::npos);

@@ -1,9 +1,9 @@
-// Incremental serving (DiffServiceOptions::incremental): the share-map
+// Incremental serving, which every DiffService does: the share-map
 // pre-pass prunes unchanged subtrees on every request, repeat requests over
 // the same content fingerprints are answered from the diff cache, and
 // adjacent stored-version diffs are answered straight from the commit log.
 // Each layer must be an observable accelerant (hit flags, PRUNE metrics)
-// and must serve byte-identical scripts to the cold path.
+// and must serve the scripts the plain pipeline (DiffTrees) computes.
 
 #include <gtest/gtest.h>
 
@@ -44,17 +44,9 @@ const char kEdited[] =
     "(P (S \"lambda mu\")))";
 
 TEST(IncrementalServiceTest, PruningEngagesAndMatchesTheColdPath) {
-  DiffServiceOptions plain;
-  plain.num_threads = 2;
-  DiffService cold(plain);
-  const DiffResponse cold_response =
-      cold.SubmitSync(InlineRequest(kBase, kEdited));
-  ASSERT_TRUE(cold_response.status.ok()) << cold_response.status.ToString();
-  EXPECT_EQ(cold_response.pruned_subtrees, 0u);  // incremental off: no prune
-
-  DiffServiceOptions inc = plain;
-  inc.incremental = true;
-  DiffService warm(inc);
+  DiffServiceOptions options;
+  options.num_threads = 2;
+  DiffService warm(options);
   const DiffResponse warm_response =
       warm.SubmitSync(InlineRequest(kBase, kEdited));
   ASSERT_TRUE(warm_response.status.ok()) << warm_response.status.ToString();
@@ -62,19 +54,29 @@ TEST(IncrementalServiceTest, PruningEngagesAndMatchesTheColdPath) {
   EXPECT_GE(warm_response.pruned_subtrees, 2u);
   EXPECT_GT(warm_response.pruned_nodes, warm_response.pruned_subtrees);
   EXPECT_FALSE(warm_response.matching_cache_hit);  // First sighting.
-  EXPECT_EQ(warm_response.operations, cold_response.operations);
+
+  // The unpruned pipeline (kOff) settles nothing and finds as many ops.
+  auto labels = std::make_shared<LabelTable>();
+  StatusOr<Tree> base = ParseSexpr(kBase, labels);
+  StatusOr<Tree> edited = ParseSexpr(kEdited, labels);
+  ASSERT_TRUE(base.ok() && edited.ok());
+  DiffOptions cold_options;
+  cold_options.share_mode = ShareMode::kOff;
+  StatusOr<DiffResult> cold = DiffTrees(*base, *edited, cold_options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->report.prune_settled_subtrees, 0u);
+  EXPECT_EQ(warm_response.operations, cold->script.size());
 
   // Cumulative prune metrics are exported.
-  EXPECT_GE(warm.metrics().counter("diff_prune_subtrees_total")->Value(),
+  EXPECT_EQ(warm.metrics().counter("diff_prune_subtrees_total")->Value(),
             warm_response.pruned_subtrees);
-  EXPECT_GE(warm.metrics().counter("diff_prune_nodes_total")->Value(),
+  EXPECT_EQ(warm.metrics().counter("diff_prune_nodes_total")->Value(),
             warm_response.pruned_nodes);
 }
 
 TEST(IncrementalServiceTest, RepeatRequestHitsTheMatchingCache) {
   DiffServiceOptions options;
   options.num_threads = 2;
-  options.incremental = true;
   DiffService service(options);
 
   const DiffResponse first = service.SubmitSync(InlineRequest(kBase, kEdited));
@@ -95,7 +97,6 @@ TEST(IncrementalServiceTest, RepeatRequestHitsTheMatchingCache) {
 TEST(IncrementalServiceTest, BudgetedRequestsBypassTheMatchingCache) {
   DiffServiceOptions options;
   options.num_threads = 2;
-  options.incremental = true;
   DiffService service(options);
 
   DiffRequest budgeted = InlineRequest(kBase, kEdited);
@@ -118,37 +119,37 @@ TEST(IncrementalServiceTest, BudgetedRequestsBypassTheMatchingCache) {
 TEST(IncrementalServiceTest, AdjacentVersionDiffServesFromTheChainLog) {
   DiffServiceOptions options;
   options.num_threads = 2;
-  options.incremental = true;
   DiffService service(options);
-
-  ASSERT_TRUE(service.CreateStore("doc", kBase).ok());
+  auto group = ReplicatedVersionStore::Create({}, *ParseSexpr(kBase));
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
+  std::shared_ptr<ReplicatedVersionStore> shared = std::move(*group);
+  ASSERT_TRUE(service.AttachStore("doc", shared).ok());
   const StatusOr<int> v1 = service.CommitVersion("doc", kEdited);
   ASSERT_TRUE(v1.ok());
   ASSERT_EQ(*v1, 1);
 
-  // The authoritative answer, computed by the pipeline with the chain log
-  // bypassed (incremental off).
-  DiffServiceOptions plain;
-  plain.num_threads = 2;
-  DiffService cold(plain);
-  ASSERT_TRUE(cold.CreateStore("doc", kBase).ok());
-  ASSERT_TRUE(cold.CommitVersion("doc", kEdited).ok());
   DiffRequest request;
   request.doc_id = "doc";
   request.from_version = 0;
   request.to_version = 1;
-  const DiffResponse pipeline = cold.SubmitSync(request);
-  ASSERT_TRUE(pipeline.status.ok()) << pipeline.status.ToString();
-  EXPECT_FALSE(pipeline.chain_log_hit);
-
   const DiffResponse logged = service.SubmitSync(request);
   ASSERT_TRUE(logged.status.ok()) << logged.status.ToString();
   EXPECT_TRUE(logged.chain_log_hit);
-  // The stored delta IS the diff the pipeline computed at commit time.
-  EXPECT_EQ(logged.script, pipeline.script);
-  EXPECT_EQ(logged.operations, pipeline.operations);
   EXPECT_EQ(service.metrics().counter("diff_chain_log_hits_total")->Value(),
             1u);
+
+  // The stored delta is the diff the unpruned pipeline (kOff) computes on
+  // the two materialized versions.
+  StatusOr<Tree> from = shared->primary()->Materialize(0);
+  StatusOr<Tree> to = shared->primary()->Materialize(1);
+  ASSERT_TRUE(from.ok() && to.ok());
+  DiffOptions cold_options;
+  cold_options.share_mode = ShareMode::kOff;
+  StatusOr<DiffResult> cold = DiffTrees(*from, *to, cold_options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(logged.script,
+            FormatEditScript(cold->script, *shared->label_table()));
+  EXPECT_EQ(logged.operations, cold->script.size());
 
   // Non-adjacent requests fall through to the pipeline.
   ASSERT_TRUE(service.CommitVersion("doc", kBase).ok());
@@ -164,8 +165,6 @@ TEST(IncrementalServiceTest, AdjacentVersionDiffServesFromTheChainLog) {
 TEST(IncrementalServiceTest, ConcurrentIncrementalSubmitsStayConsistent) {
   DiffServiceOptions options;
   options.num_threads = 4;
-  options.incremental = true;
-  options.matching_cache_entries = 8;
   DiffService service(options);
   // Pin label ids so concurrent first-touch interning cannot reorder them.
   (void)service.SubmitSync(InlineRequest(kBase, kBase));
@@ -207,6 +206,105 @@ TEST(IncrementalServiceTest, ConcurrentIncrementalSubmitsStayConsistent) {
   // Every inline pair after the first should have hit the diff cache.
   EXPECT_GE(service.metrics().counter("diff_match_cache_hits_total")->Value(),
             static_cast<uint64_t>(kThreads * kPerThread / 2 - kThreads));
+}
+
+TEST(IncrementalServiceTest, DefaultServicePrunesCachesAndReadsTheLog) {
+  DiffService service;
+  const DiffResponse first = service.SubmitSync(InlineRequest(kBase, kEdited));
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_GE(first.pruned_subtrees, 2u);
+  EXPECT_FALSE(first.matching_cache_hit);
+
+  const DiffResponse repeat =
+      service.SubmitSync(InlineRequest(kBase, kEdited));
+  ASSERT_TRUE(repeat.status.ok()) << repeat.status.ToString();
+  EXPECT_TRUE(repeat.matching_cache_hit);
+  EXPECT_EQ(repeat.script, first.script);
+
+  ASSERT_TRUE(service.CreateStore("doc", kBase).ok());
+  ASSERT_TRUE(service.CommitVersion("doc", kEdited).ok());
+  DiffRequest adjacent;
+  adjacent.doc_id = "doc";
+  adjacent.from_version = 0;
+  adjacent.to_version = 1;
+  const DiffResponse logged = service.SubmitSync(adjacent);
+  ASSERT_TRUE(logged.status.ok()) << logged.status.ToString();
+  EXPECT_TRUE(logged.chain_log_hit);
+  EXPECT_EQ(logged.operations, first.operations);
+}
+
+// Two paragraphs swap places and each gains a word, so no subtree stays
+// identical for the share-map pre-pass to settle.
+const char kTwoParagraphs[] =
+    "(D (P (S \"first paragraph words\") (S \"one more\")) "
+    "(P (S \"second paragraph words\") (S \"two more\")))";
+const char kSwapped[] =
+    "(D (P (S \"second paragraph words here\") (S \"two more\")) "
+    "(P (S \"first paragraph words here\") (S \"one more\")))";
+
+TEST(IncrementalServiceTest, LogAnswersOnlyFastMatchOrLowerStarts) {
+  // Every commit diffs from kFastMatch: a request that asks for the
+  // optimal rung must run it, not get the commit's delta.
+  DiffService service;
+  auto group = ReplicatedVersionStore::Create({}, *ParseSexpr(kTwoParagraphs));
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
+  std::shared_ptr<ReplicatedVersionStore> shared = std::move(*group);
+  ASSERT_TRUE(service.AttachStore("doc", shared).ok());
+  ASSERT_TRUE(service.CommitVersion("doc", kSwapped).ok());
+  const std::string stored =
+      FormatEditScript(*shared->primary()->DeltaFor(1), *shared->label_table());
+
+  DiffRequest request;
+  request.doc_id = "doc";
+  request.from_version = 0;
+  request.to_version = 1;
+  request.start_rung = DiffRung::kOptimalZs;
+  const DiffResponse optimal = service.SubmitSync(request);
+  ASSERT_TRUE(optimal.status.ok()) << optimal.status.ToString();
+  EXPECT_FALSE(optimal.chain_log_hit);
+  EXPECT_EQ(optimal.rung, DiffRung::kOptimalZs);
+  StatusOr<Tree> from = shared->primary()->Materialize(0);
+  StatusOr<Tree> to = shared->primary()->Materialize(1);
+  ASSERT_TRUE(from.ok() && to.ok());
+  DiffOptions zs;
+  zs.share_mode = ShareMode::kIndexed;
+  zs.start_rung = DiffRung::kOptimalZs;
+  StatusOr<DiffResult> live = DiffTrees(*from, *to, zs);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_EQ(optimal.script,
+            FormatEditScript(live->script, *shared->label_table()));
+  EXPECT_NE(optimal.script, stored);
+
+  for (DiffRung rung : {DiffRung::kFastMatch, DiffRung::kKeyedStructural,
+                        DiffRung::kTopLevelReplace}) {
+    request.start_rung = rung;
+    const DiffResponse logged = service.SubmitSync(request);
+    ASSERT_TRUE(logged.status.ok()) << logged.status.ToString();
+    EXPECT_TRUE(logged.chain_log_hit) << DiffRungName(rung);
+    EXPECT_EQ(logged.rung, DiffRung::kFastMatch) << DiffRungName(rung);
+    EXPECT_EQ(logged.script, stored) << DiffRungName(rung);
+  }
+}
+
+TEST(IncrementalServiceTest, LogAnswersCountInTheFastMatchRung) {
+  DiffService service;
+  ASSERT_TRUE(service.CreateStore("doc", kBase).ok());
+  ASSERT_TRUE(service.CommitVersion("doc", kEdited).ok());
+  DiffRequest request;
+  request.doc_id = "doc";
+  request.from_version = 0;
+  request.to_version = 1;
+  ASSERT_TRUE(service.SubmitSync(request).chain_log_hit);
+  ASSERT_TRUE(service.SubmitSync(request).chain_log_hit);
+  for (int r = 0; r < 4; ++r) {
+    const DiffRung rung = static_cast<DiffRung>(r);
+    EXPECT_EQ(service.metrics()
+                  .counter(std::string("diff_rung_total{rung=\"") +
+                           DiffRungName(rung) + "\"}")
+                  ->Value(),
+              rung == DiffRung::kFastMatch ? 2u : 0u)
+        << DiffRungName(rung);
+  }
 }
 
 /// Three generated versions of a 4-section document with moved and edited
@@ -256,7 +354,6 @@ TEST(IncrementalServiceTest, RepeatedGeneratedDiffsHitWithTheSameScript) {
   constexpr uint64_t kSeeds = 32;
   DiffServiceOptions options;
   options.num_threads = 2;
-  options.incremental = true;
   DiffService service(options);
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const std::vector<std::string> texts = GeneratedVersions(seed);
@@ -276,7 +373,6 @@ TEST(IncrementalServiceTest, RepeatedStoredDiffsHitWithTheSameScript) {
   constexpr uint64_t kSeeds = 32;
   DiffServiceOptions options;
   options.num_threads = 2;
-  options.incremental = true;
   DiffService service(options);
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const std::vector<std::string> texts = GeneratedVersions(seed);
@@ -304,7 +400,6 @@ TEST(IncrementalServiceTest, HitFormatsTextAMissLeftUnformatted) {
   const std::vector<std::string> texts = GeneratedVersions(3);
   DiffServiceOptions options;
   options.num_threads = 2;
-  options.incremental = true;
 
   DiffService uncached(options);
   const DiffResponse expected =
@@ -334,7 +429,6 @@ TEST(IncrementalServiceTest, BudgetedAndShedRequestsReadNoOtherRungsEntry) {
   options.num_threads = 1;
   options.queue_capacity = 4;
   options.degrade_queue_fraction = 0.5;
-  options.incremental = true;
   DiffService service(options);
   const DiffRequest request = InlineRequest(kBase, kEdited);
 
@@ -393,7 +487,6 @@ TEST(IncrementalServiceTest, BudgetedAndShedRequestsReadNoOtherRungsEntry) {
 TEST(IncrementalServiceTest, DegradedAnswersAreNeverStored) {
   DiffServiceOptions options;
   options.num_threads = 1;
-  options.incremental = true;
   DiffService service(options);
   const std::vector<std::string> texts = GeneratedVersions(5);
 
@@ -429,7 +522,6 @@ TEST(IncrementalServiceTest, FailoverEpochBumpMissesStoredPairs) {
 
   DiffServiceOptions options;
   options.num_threads = 1;
-  options.incremental = true;
   DiffService service(options);
   ASSERT_TRUE(service.AttachStore("doc", shared).ok());
   ASSERT_TRUE(service.CommitVersion("doc", texts[1]).ok());
@@ -453,11 +545,9 @@ TEST(IncrementalServiceTest, FailoverEpochBumpMissesStoredPairs) {
 }
 
 TEST(IncrementalServiceTest, CacheHoldsMatchingCacheEntriesAnswers) {
-  constexpr size_t kEntries = 4;
+  constexpr size_t kEntries = DiffService::kDiffCacheEntries;
   DiffServiceOptions options;
   options.num_threads = 1;
-  options.incremental = true;
-  options.matching_cache_entries = kEntries;
   DiffService service(options);
   std::vector<DiffRequest> pairs;
   for (size_t i = 0; i <= kEntries; ++i) {
@@ -472,10 +562,12 @@ TEST(IncrementalServiceTest, CacheHoldsMatchingCacheEntriesAnswers) {
   for (size_t i = 0; i < kEntries; ++i) EXPECT_FALSE(hit(i)) << i;
   // A hit refreshes pair 0, so pair 1 is now the least recently used.
   EXPECT_TRUE(hit(0));
-  // A fifth pair evicts pair 1; the other four stay.
+  // One pair more evicts pair 1; the others stay.
   EXPECT_FALSE(hit(kEntries));
-  for (size_t i : {size_t{0}, size_t{2}, size_t{3}, kEntries}) {
-    EXPECT_TRUE(hit(i)) << i;
+  for (size_t i = 0; i <= kEntries; ++i) {
+    if (i != 1) {
+      EXPECT_TRUE(hit(i)) << i;
+    }
   }
   EXPECT_FALSE(hit(1));
 }
@@ -483,7 +575,6 @@ TEST(IncrementalServiceTest, CacheHoldsMatchingCacheEntriesAnswers) {
 TEST(IncrementalServiceTest, HitsAddNoPhaseTimings) {
   DiffServiceOptions options;
   options.num_threads = 1;
-  options.incremental = true;
   DiffService service(options);
   Histogram* gen = service.metrics().histogram("diff_gen_seconds");
   Histogram* match = service.metrics().histogram("diff_match_seconds");
@@ -532,7 +623,6 @@ TEST(IncrementalServiceTest, AdjacentAnswersFromTheLogEqualLiveDiffs) {
   constexpr int kVersions = 40;
   DiffServiceOptions options;
   options.num_threads = 2;
-  options.incremental = true;
   DiffService service(options);
   auto labels = std::make_shared<LabelTable>();
   const std::vector<Tree> chain = MakeChain(20261018, kVersions, labels);
@@ -547,7 +637,7 @@ TEST(IncrementalServiceTest, AdjacentAnswersFromTheLogEqualLiveDiffs) {
                     .ok());
   }
 
-  DiffOptions read = options.diff;
+  DiffOptions read;
   read.share_mode = ShareMode::kIndexed;
   int differing = 0;
   for (int v = 1; v <= kVersions; ++v) {

@@ -168,6 +168,61 @@ TEST(ServiceResilienceTest, BreakerTripsFastFailsAndRecoversViaRepair) {
   service.Shutdown();
 }
 
+TEST(ServiceResilienceTest, AdjacentReadsCountOnceAgainstASickStore) {
+  // The commit-log lookup is an in-memory read: on a poisoned or
+  // quarantined store it falls through to the resolve path, which alone
+  // repairs, counts toward the breaker and fast-fails. An adjacent read
+  // must move the breaker exactly as much as any other read.
+  MemEnv mem;
+  FaultPlan plan;
+  plan.fail_sync_at = 3;  // Create, then v1; the v2 commit dies.
+  FaultInjectingEnv env(&mem, plan);
+  auto group = DurableGroup(&env, "svc.log", QuietStoreOptions(&env));
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
+
+  DiffServiceOptions options = QuietServiceOptions();
+  options.breaker_failure_threshold = 3;
+  options.breaker_cooldown_seconds = 60.0;
+  DiffService service(options);
+  ASSERT_TRUE(service.AttachStore("doc", std::move(*group)).ok());
+  ASSERT_TRUE(service.CommitVersion("doc", DocText(1)).ok());
+  ASSERT_FALSE(service.CommitVersion("doc", DocText(2)).ok());
+  auto failures = [&] {
+    return service.StoreStatuses().at(0).consecutive_failures;
+  };
+  ASSERT_EQ(failures(), 1);
+
+  DiffRequest adjacent;
+  adjacent.doc_id = "doc";
+  adjacent.from_version = 0;
+  adjacent.to_version = 1;
+  DiffRequest reversed = adjacent;
+  reversed.from_version = 1;
+  reversed.to_version = 0;
+
+  // Poisoned, and the medium is still down: one Repair, one failure.
+  EXPECT_FALSE(service.SubmitSync(adjacent).status.ok());
+  EXPECT_EQ(CounterValue(&service, "store_repairs_total"), 1u);
+  EXPECT_EQ(failures(), 2);
+  EXPECT_EQ(service.StoreStatuses().at(0).health, StoreHealth::kDegraded);
+  EXPECT_EQ(CounterValue(&service, "store_breaker_trips_total"), 0u);
+
+  // The third failure, from a non-adjacent read, trips the breaker.
+  EXPECT_FALSE(service.SubmitSync(reversed).status.ok());
+  EXPECT_EQ(CounterValue(&service, "store_repairs_total"), 2u);
+  EXPECT_EQ(CounterValue(&service, "store_breaker_trips_total"), 1u);
+  ASSERT_EQ(service.StoreStatuses().at(0).health, StoreHealth::kQuarantined);
+
+  // Quarantined: each read, adjacent or not, is one fast-fail.
+  const DiffResponse shed = service.SubmitSync(adjacent);
+  EXPECT_EQ(shed.status.code(), Code::kUnavailable);
+  EXPECT_EQ(CounterValue(&service, "store_breaker_fast_fails_total"), 1u);
+  EXPECT_EQ(service.SubmitSync(reversed).status.code(), Code::kUnavailable);
+  EXPECT_EQ(CounterValue(&service, "store_breaker_fast_fails_total"), 2u);
+  EXPECT_EQ(CounterValue(&service, "store_repairs_total"), 2u);
+  service.Shutdown();
+}
+
 TEST(ServiceResilienceTest, ClientErrorsDoNotTripTheBreaker) {
   DiffServiceOptions options = QuietServiceOptions();
   options.breaker_failure_threshold = 2;

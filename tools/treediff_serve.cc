@@ -24,11 +24,12 @@
 // --threads and --net-threads each take 1 to 256; any other value is
 // rejected with the usage text and exit status 2.
 //
-// The server always serves incrementally, under the one diff rule that
-// commits and the commit log use: the share-map pre-pass prunes unchanged
-// subtrees out of every diff, repeated diffs of the same document pair
-// reuse the cached phase-1 matching, and adjacent version diffs (kVdiff)
-// are answered straight from the store's commit log.
+// The server serves the way every DiffService does, under the one diff
+// rule that commits and the commit log use: the share-map pre-pass prunes
+// unchanged subtrees out of every diff, a repeated diff of the same
+// document pair is answered from the diff cache of finished answers, and
+// adjacent version diffs (kVdiff) are answered straight from the store's
+// commit log.
 //
 // --no-stdin is accepted and ignored, so existing command lines that pass
 // it keep working.
@@ -82,7 +83,6 @@ bool ParseSeconds(const char* text, double* out) {
 
 int main(int argc, char** argv) {
   treediff::DiffServiceOptions options;
-  options.incremental = true;
   treediff::net::NetServerOptions net;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
