@@ -1,6 +1,9 @@
 #ifndef TREEDIFF_BENCH_BENCH_COMMON_H_
 #define TREEDIFF_BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,6 +89,22 @@ inline std::vector<DocumentSet> MakeDocumentSets(
     sets.push_back(std::move(set));
   }
   return sets;
+}
+
+/// `doc`, a generated s-expression document, with its root value set to
+/// "request <index>": a text no other index produces, with the same diff
+/// as the untagged pair (equal root values cost nothing). The generated
+/// root carries no value, so this only inserts one after the root label.
+/// Exits the program if `doc` is not such a document.
+inline std::string TagRoot(const std::string& doc, uint64_t index) {
+  static const std::string kRoot = "(document ";
+  if (doc.compare(0, kRoot.size(), kRoot) != 0) {
+    std::fprintf(stderr, "bench: document does not start with %s\n",
+                 kRoot.c_str());
+    std::exit(1);
+  }
+  return kRoot + "\"request " + std::to_string(index) + "\" " +
+         doc.substr(kRoot.size());
 }
 
 }  // namespace bench

@@ -5,6 +5,12 @@
 // proves the wire path is honest: responses served over TCP must be
 // byte-identical to what DiffService::SubmitSync returns directly.
 //
+// Every sweep request writes its sequence number into the root value of
+// both documents, so no two requests send the same text: each one parses,
+// indexes and diffs (the root values are equal, so the script is the base
+// pair's). The diff-cache hits of each sweep point are printed beside it
+// and should read 0.
+//
 // NOTE when reading the numbers: event-loop thread scaling can only show
 // on a machine with that many cores. On a single-core container every
 // thread count measures roughly the same req/s (the loops time-slice one
@@ -147,6 +153,7 @@ int main(int argc, char** argv) {
     size_t pipeline;
     uint64_t completed;
     uint64_t errors;
+    uint64_t cache_hits;  // diff_match_cache_hits_total over the point.
     double rps;
     double p50_ms;
     double p95_ms;
@@ -177,10 +184,13 @@ int main(int argc, char** argv) {
       WireRequest r;
       r.opcode = Opcode::kDiff;
       r.flags = kFlagNoScript;  // Measure the pipeline, not script I/O.
-      r.old_doc = p.old_doc;
-      r.new_doc = p.new_doc;
+      r.old_doc = bench::TagRoot(p.old_doc, seq);
+      r.new_doc = bench::TagRoot(p.new_doc, seq);
       return r;
     };
+    Counter* cache_hits =
+        service.metrics().counter("diff_match_cache_hits_total");
+    const uint64_t hits_before = cache_hits->Value();
     lg.max_run_seconds = tiny ? 60 : 300;
     StatusOr<LoadGenResult> result = RunLoadGen(lg);
     server.Shutdown();
@@ -197,7 +207,8 @@ int main(int argc, char** argv) {
       all_ok = false;  // A bench run must account for every request.
     }
     rows.push_back({event_threads, connections, pipeline, r.completed,
-                    errors, r.throughput_rps, r.p50_ms, r.p95_ms, r.p99_ms});
+                    errors, cache_hits->Value() - hits_before,
+                    r.throughput_rps, r.p50_ms, r.p95_ms, r.p99_ms});
   };
 
   if (tiny) {
@@ -220,11 +231,13 @@ int main(int argc, char** argv) {
       std::printf(
           "  {\"event_threads\": %d, \"connections\": %zu, "
           "\"pipeline\": %zu, \"completed\": %llu, \"errors\": %llu, "
+          "\"diff_cache_hits\": %llu, "
           "\"requests_per_second\": %.1f, \"p50_ms\": %.3f, "
           "\"p95_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
           r.event_threads, r.connections, r.pipeline,
           static_cast<unsigned long long>(r.completed),
-          static_cast<unsigned long long>(r.errors), r.rps, r.p50_ms,
+          static_cast<unsigned long long>(r.errors),
+          static_cast<unsigned long long>(r.cache_hits), r.rps, r.p50_ms,
           r.p95_ms, r.p99_ms, i + 1 < rows.size() ? "," : "");
     }
     std::printf("]\n");
@@ -233,8 +246,8 @@ int main(int argc, char** argv) {
         "\nnet_throughput: loopback, closed loop, pipeline=%zu, "
         "hardware threads: %u\n\n",
         pipeline, std::thread::hardware_concurrency());
-    TablePrinter table({"loops", "conns", "completed", "errors", "req/s",
-                        "p50 ms", "p95 ms", "p99 ms"});
+    TablePrinter table({"loops", "conns", "completed", "errors",
+                        "cache hits", "req/s", "p50 ms", "p95 ms", "p99 ms"});
     char buf[64];
     for (const Row& r : rows) {
       std::vector<std::string> cells;
@@ -242,6 +255,7 @@ int main(int argc, char** argv) {
       cells.emplace_back(std::to_string(r.connections));
       cells.emplace_back(std::to_string(r.completed));
       cells.emplace_back(std::to_string(r.errors));
+      cells.emplace_back(std::to_string(r.cache_hits));
       std::snprintf(buf, sizeof buf, "%.1f", r.rps);
       cells.emplace_back(buf);
       std::snprintf(buf, sizeof buf, "%.3f", r.p50_ms);

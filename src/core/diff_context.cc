@@ -22,7 +22,7 @@ const ValueComparator* ResolveComparator(
     const DiffOptions& options,
     std::unique_ptr<WordLcsComparator>* owned) {
   if (options.comparator != nullptr) return options.comparator;
-  *owned = std::make_unique<WordLcsComparator>();
+  *owned = std::make_unique<WordLcsComparator>(options.token_memo);
   return owned->get();
 }
 

@@ -89,6 +89,13 @@ struct DiffOptions {
   /// DiffContext is used (the LaDiff sentence metric, Section 7).
   const ValueComparator* comparator = nullptr;
 
+  /// The token memo that default comparator tokenizes through, so values
+  /// seen by earlier diffs are not tokenized again (the service lends one
+  /// memo to every request and commit). Null gives the comparator a private
+  /// memo that lives for the call. Unused when `comparator` is set. Must
+  /// outlive the call; it is thread-safe, so concurrent diffs may share it.
+  TokenMemo* token_memo = nullptr;
+
   /// Optional label schema; when set, FastMatch processes label chains in
   /// ascending rank order (deterministic and cache-friendly for documents).
   const LabelSchema* schema = nullptr;

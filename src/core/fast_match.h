@@ -22,11 +22,13 @@ namespace treediff {
 ///
 /// Everything is built on demand, so a chain whose probes all meet equal
 /// values (nearly identical, unseeded documents) pays nothing: the first
-/// probe of unequal values tokenizes s2 once, by chain position, into an
-/// inverted index from word id to (s2 position, count), and the first such
-/// probe in each s1 row fills that row's candidate bitset from the index.
-/// Every later probe in the row is a bit test. FastMatch keeps one per
-/// chain, so the scratch is freed when the chain ends.
+/// probe of unequal values reads s2's bags once (from the comparator's
+/// token memo, so values an earlier diff tokenized are not tokenized
+/// again), by chain position, into an inverted index from word id to (s2
+/// position, count), and the first such probe in each s1 row fills that
+/// row's candidate bitset from the index. Every later probe in the row is
+/// a bit test. FastMatch keeps one per chain, so the scratch is freed when
+/// the chain ends.
 class LeafChainBound {
  public:
   /// Borrows all three arguments; they must outlive the bound.
@@ -49,7 +51,7 @@ class LeafChainBound {
     uint32_t count;
   };
 
-  /// Tokenizes s2 into the inverted index. False (and no bound for the
+  /// Reads s2's bags into the inverted index. False (and no bound for the
   /// rest of the chain) when the comparator supplies no bags.
   bool Build();
 

@@ -16,6 +16,10 @@ namespace {
 constexpr size_t kTreeCacheBytes = 64u << 20;
 constexpr int kTreeCacheShards = 8;
 
+/// The token memo: 8 MiB of tokenized values and their word dictionary per
+/// generation, shared by every request and commit of the service.
+constexpr size_t kTokenMemoBytes = 8u << 20;
+
 /// Where a request admitted under queue pressure starts on the ladder:
 /// O(n log n) label/value bucketing with no value comparisons.
 constexpr DiffRung kDegradedStartRung = DiffRung::kKeyedStructural;
@@ -69,9 +73,11 @@ const char* StoreHealthName(StoreHealth health) {
 DiffService::DiffService(DiffServiceOptions options)
     : options_(options),
       cache_(TreeCache::Options{kTreeCacheBytes, kTreeCacheShards}),
+      token_memo_(kTokenMemoBytes),
       pool_(ThreadPool::Options{std::max(options.num_threads, 1),
                                 std::max<size_t>(options.queue_capacity, 1)}) {
   options_.diff.share_mode = ShareMode::kIndexed;
+  options_.diff.token_memo = &token_memo_;
   requests_ = metrics_.counter("diff_requests_total");
   responses_ok_ = metrics_.counter("diff_responses_ok_total");
   responses_error_ = metrics_.counter("diff_responses_error_total");

@@ -142,9 +142,10 @@ struct DiffServiceOptions {
 
   /// Base pipeline options (thresholds, matcher choice, cost model, ...).
   /// `budget`, `index1`, `index2` and `start_rung` are set per request;
-  /// `share_mode` is always kIndexed, the rule every commit applies. A
-  /// custom `comparator` must be thread-safe — the default (null: one
-  /// WordLcsComparator per request) is.
+  /// `share_mode` is always kIndexed, the rule every commit applies, and
+  /// `token_memo` is always the service's own. A custom `comparator` must
+  /// be thread-safe — the default (null: one WordLcsComparator per request
+  /// and per commit, all tokenizing through the service's TokenMemo) is.
   DiffOptions diff;
 };
 
@@ -277,6 +278,7 @@ class DiffService {
 
   MetricsRegistry& metrics() { return metrics_; }
   TreeCache::Stats cache_stats() const { return cache_.stats(); }
+  TokenMemo::Stats token_memo_stats() const { return token_memo_.stats(); }
   size_t queue_depth() const { return pool_.QueueDepth(); }
 
   /// Stops admissions, drains queued requests, joins workers. Idempotent.
@@ -379,6 +381,9 @@ class DiffService {
   std::shared_ptr<LabelTable> labels_ = std::make_shared<LabelTable>();
   MetricsRegistry metrics_;
   TreeCache cache_;
+  /// Tokenized values shared by every request and by the commits of the
+  /// groups this service creates (through options_.diff).
+  TokenMemo token_memo_;
   ThreadPool pool_;  // Last member: workers must die before what they use.
 
   /// Guards the registry map (reader/writer: attach/create write, request

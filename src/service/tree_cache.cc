@@ -57,6 +57,10 @@ std::shared_ptr<const CachedTree> TreeCache::Insert(uint64_t key, Tree tree) {
   // Freeze + warm outside the shard lock: this is the expensive part, and a
   // racing duplicate insert merely wastes its own work.
   auto entry = std::make_shared<const CachedTree>(std::move(tree), key);
+  // Evicted entries are destroyed here, after the shard lock is released
+  // (declared before the lock, so it dies after it): freeing a tree is
+  // O(nodes) and must not stall the shard's other requests.
+  std::vector<std::shared_ptr<const CachedTree>> victims;
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);
   auto it = shard.map.find(key);
@@ -74,6 +78,7 @@ std::shared_ptr<const CachedTree> TreeCache::Insert(uint64_t key, Tree tree) {
     auto& victim = shard.lru.back();
     shard.bytes -= victim.second->bytes;
     shard.map.erase(victim.first);
+    victims.push_back(std::move(victim.second));
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }

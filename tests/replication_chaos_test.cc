@@ -44,6 +44,13 @@ constexpr int kWriterCommits = 20;
 constexpr int kReaderThreads = 2;
 constexpr int kReaderIterations = 60;
 
+/// On this seed the promoter retries its first Promote until it lands (a
+/// follower may not hold any log bytes yet), and the writer stops before
+/// commit kFencedCommit until it has. So at least one promotion lands while
+/// the writer still holds its first lease, whatever the scheduling.
+constexpr uint64_t kFencedSeed = 0;
+constexpr int kFencedCommit = 3;
+
 int SeedCount() {
   const char* env = std::getenv("TREEDIFF_CHAOS_SEEDS");
   if (env == nullptr) return 8;
@@ -120,6 +127,7 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
   acked[0] = DocText(0);
   std::atomic<uint64_t> fenced{0};
   std::atomic<bool> writer_done{false};
+  std::atomic<bool> first_promotion_landed{false};
 
   // The writer holds its lease across commits — exactly the deposed-primary
   // pattern: a promotion mid-stream makes the next CommitWithLease bounce
@@ -127,6 +135,11 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
   std::thread writer([&] {
     CommitLease lease = group->lease();
     for (int n = 1; n <= kWriterCommits; ++n) {
+      if (seed == kFencedSeed && n == kFencedCommit) {
+        while (!first_promotion_landed.load(std::memory_order_acquire)) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+      }
       const std::string doc = DocText(n);
       auto tree = ParseSexpr(doc, group->label_table());
       ASSERT_TRUE(tree.ok());
@@ -185,10 +198,19 @@ void RunSeed(uint64_t seed, SweepTotals* totals) {
       if (writer_done.load(std::memory_order_acquire)) break;
       const int old_primary = group->primary_index();
       auto promoted = group->Promote();
+      for (int retry = 0; seed == kFencedSeed && k == 0 && !promoted.ok() &&
+                          retry < 5000;
+           ++retry) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        promoted = group->Promote();
+      }
+      first_promotion_landed.store(true, std::memory_order_release);
       if (promoted.ok()) {
         group->Rejoin(old_primary).IgnoreError();
       }
     }
+    // Never leave the writer waiting, whatever ended the loop.
+    first_promotion_landed.store(true, std::memory_order_release);
   });
 
   writer.join();
