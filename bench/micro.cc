@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/diff.h"
+#include "core/edit_script_gen.h"
 #include "core/fast_match.h"
 #include "core/keyed_match.h"
 #include "core/share_map.h"
@@ -231,14 +232,14 @@ void BM_ParseLatex(benchmark::State& state) {
   Workload w = MakeWorkload(8, 0);
   std::string text;
   for (NodeId sec : w.old_tree.children(w.old_tree.root())) {
-    text += "\\section{" + w.old_tree.value(sec) + "}\n";
+    text += "\\section{" + std::string(w.old_tree.value(sec)) + "}\n";
     for (NodeId p : w.old_tree.children(sec)) {
       for (NodeId s : w.old_tree.children(p)) {
         if (w.old_tree.IsLeaf(s)) {
-          text += w.old_tree.value(s) + " ";
+          text += std::string(w.old_tree.value(s)) + " ";
         } else {
           for (NodeId q : w.old_tree.children(s)) {
-            text += w.old_tree.value(q) + " ";
+            text += std::string(w.old_tree.value(q)) + " ";
           }
         }
       }
@@ -309,6 +310,71 @@ void BM_ParseSexpr(benchmark::State& state) {
                           static_cast<int64_t>(doc.size()));
 }
 BENCHMARK(BM_ParseSexpr)->Arg(4)->Arg(64);
+
+void BM_TreeClone(benchmark::State& state) {
+  // Clone plus destroy of a parsed document of range(0) sections: the
+  // working copy every generation makes of T1 and then throws away.
+  static Vocabulary vocab(3000, 1.0);
+  auto labels = std::make_shared<LabelTable>();
+  Rng rng(static_cast<uint64_t>(state.range(0)));
+  DocGenParams params;
+  params.sections = static_cast<int>(state.range(0));
+  params.min_paragraphs_per_section = 4;
+  params.max_paragraphs_per_section = 8;
+  const Tree doc = GenerateDocument(params, vocab, &rng, labels);
+  const Tree parsed = *ParseSexpr(doc.ToDebugString(), labels);
+  for (auto _ : state) {
+    Tree copy = parsed.Clone();
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(parsed.size()));
+}
+BENCHMARK(BM_TreeClone)->Arg(4)->Arg(64);
+
+void BM_GenerateAllSettled(benchmark::State& state) {
+  // GenerateEditScript alone when the pre-pass settles everything but one
+  // leaf: 64,000 identical sentences against the same plus one, as in
+  // incremental_ablation's fan-out row. The script is one insert; the rest
+  // is the working copy of T1 and the walk over settled roots.
+  auto labels = std::make_shared<LabelTable>();
+  Tree t1(labels);
+  Tree t2(labels);
+  const NodeId r1 = t1.AddRoot("D");
+  const NodeId r2 = t2.AddRoot("D");
+  for (int i = 0; i < 64000; ++i) {
+    t1.AddChild(r1, "S", "the same sentence again");
+    t2.AddChild(r2, "S", "the same sentence again");
+  }
+  t2.AddChild(r2, "S", "the same sentence again");
+  TreeIndex i1(t1);
+  TreeIndex i2(t2);
+  i1.WarmAll();
+  i2.WarmAll();
+  DiffOptions options;
+  options.share_mode = ShareMode::kIndexed;
+  options.index1 = &i1;
+  options.index2 = &i2;
+  DiffContext ctx(t1, t2, options);
+  ShareStats stats;
+  std::vector<std::pair<NodeId, NodeId>> settled;
+  Matching matching = PrematchSharedSubtrees(ctx, true, &stats, &settled);
+  if (!matching.HasT1(r1)) matching.Add(r1, r2);
+  size_t ops = 0;
+  for (auto _ : state) {
+    auto gen = GenerateEditScript(t1, t2, matching, nullptr, true, nullptr,
+                                  nullptr, &settled);
+    if (!gen.ok()) {
+      state.SkipWithError("generation failed");
+      return;
+    }
+    ops = gen->script.size();
+    benchmark::DoNotOptimize(gen);
+  }
+  state.counters["ops"] = static_cast<double>(ops);
+  state.counters["settled"] = static_cast<double>(settled.size());
+}
+BENCHMARK(BM_GenerateAllSettled)->Unit(benchmark::kMillisecond);
 
 void BM_ParseMarkdown(benchmark::State& state) {
   std::string text;

@@ -76,7 +76,7 @@ int main() {
     std::printf("  [%s] base record: \"%s\"\n      %s\n",
                 ConflictKindName(c.kind),
                 c.base_node != kInvalidNode && base->Alive(c.base_node)
-                    ? base->value(c.base_node).c_str()
+                    ? std::string(base->value(c.base_node)).c_str()
                     : "<structure>",
                 c.description.c_str());
   }

@@ -152,7 +152,7 @@ Status EditScript::ApplyTo(Tree* tree, const Budget* budget) const {
         // preserving node identity.
         if (op.node >= 0 && static_cast<size_t>(op.node) < tree->id_bound() &&
             !tree->Alive(op.node)) {
-          std::string dead_value = tree->value(op.node);
+          std::string dead_value(tree->value(op.node));
           failure = tree->ReviveLeaf(op.node, op.parent, op.position);
           if (!failure.ok()) break;
           undo.push_back(EditOp::Delete(op.node));
@@ -184,7 +184,8 @@ Status EditScript::ApplyTo(Tree* tree, const Budget* budget) const {
         }
         const NodeId del_parent = tree->parent(op.node);
         EditOp inverse = EditOp::Insert(
-            op.node, tree->label(op.node), tree->value(op.node), del_parent,
+            op.node, tree->label(op.node), std::string(tree->value(op.node)),
+            del_parent,
             del_parent == kInvalidNode ? 1 : tree->ChildIndex(op.node) + 1);
         failure = tree->DeleteLeaf(op.node);
         if (failure.ok()) undo.push_back(std::move(inverse));
@@ -195,7 +196,8 @@ Status EditScript::ApplyTo(Tree* tree, const Budget* budget) const {
           failure = Status::InvalidArgument("update: node is not live");
           break;
         }
-        EditOp inverse = EditOp::Update(op.node, tree->value(op.node), 0.0);
+        EditOp inverse =
+            EditOp::Update(op.node, std::string(tree->value(op.node)), 0.0);
         failure = tree->UpdateValue(op.node, op.value);
         if (failure.ok()) undo.push_back(std::move(inverse));
         break;
@@ -265,8 +267,8 @@ StatusOr<EditScript> InvertScript(const EditScript& script,
         const NodeId parent = work.parent(op.node);
         const int position = work.ChildIndex(op.node) + 1;
         reversed.push_back(EditOp::Insert(op.node, work.label(op.node),
-                                          work.value(op.node), parent,
-                                          position));
+                                          std::string(work.value(op.node)),
+                                          parent, position));
         break;
       }
       case EditOpKind::kUpdate: {
@@ -275,7 +277,7 @@ StatusOr<EditScript> InvertScript(const EditScript& script,
               "invert: update of a node that is not live");
         }
         reversed.push_back(
-            EditOp::Update(op.node, work.value(op.node), op.cost));
+            EditOp::Update(op.node, std::string(work.value(op.node)), op.cost));
         break;
       }
       case EditOpKind::kMove: {

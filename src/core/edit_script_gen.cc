@@ -190,7 +190,8 @@ class ScriptGenerator {
         work_.InsertLeaf(t2_.label(x), t2_.value(x), z, k);
     assert(inserted.ok());
     const NodeId w = *inserted;
-    EditOp op = EditOp::Insert(w, t2_.label(x), t2_.value(x), z, k);
+    EditOp op =
+        EditOp::Insert(w, t2_.label(x), std::string(t2_.value(x)), z, k);
     if (costs_ != nullptr) op.cost = costs_->InsertCost(t2_, x);
     script_.Append(std::move(op));
     weighted_ += 1;
@@ -204,7 +205,7 @@ class ScriptGenerator {
     if (work_.value(w) == t2_.value(x)) return;
     const double cost =
         cmp_ != nullptr ? cmp_->Compare(work_, w, t2_, x) : 1.0;
-    script_.Append(EditOp::Update(w, t2_.value(x), cost));
+    script_.Append(EditOp::Update(w, std::string(t2_.value(x)), cost));
     TREEDIFF_CHECK_OK(work_.UpdateValue(w, t2_.value(x)));
   }
 

@@ -208,7 +208,8 @@ Matching ComputeStructuralMatch(const Tree& t1, const Tree& t2,
     std::vector<NodeId> nodes;
     size_t front = 0;
   };
-  std::map<std::pair<LabelId, std::string>, Bucket> leaves2;
+  // Keys view t2's values; t2 is not mutated here.
+  std::map<std::pair<LabelId, std::string_view>, Bucket> leaves2;
   std::map<LabelId, Bucket> internal2;
   for (NodeId y : i2->PreOrder()) {
     if (m.HasT2(y) || y == t2.root()) continue;
@@ -242,16 +243,17 @@ Matching ComputeStructuralMatch(const Tree& t1, const Tree& t2,
 }
 
 std::optional<std::string> ValuePrefixKey(const Tree& tree, NodeId node) {
-  const std::string& value = tree.value(node);
+  const std::string_view value = tree.value(node);
   constexpr std::string_view kPrefix = "key=";
   if (value.size() <= kPrefix.size() ||
-      std::string_view(value).substr(0, kPrefix.size()) != kPrefix) {
+      value.substr(0, kPrefix.size()) != kPrefix) {
     return std::nullopt;
   }
   const size_t end = value.find(' ', kPrefix.size());
-  return value.substr(kPrefix.size(), end == std::string::npos
-                                          ? std::string::npos
-                                          : end - kPrefix.size());
+  return std::string(
+      value.substr(kPrefix.size(), end == std::string_view::npos
+                                       ? std::string_view::npos
+                                       : end - kPrefix.size()));
 }
 
 }  // namespace treediff

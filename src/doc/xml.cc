@@ -78,7 +78,7 @@ std::string DecodeXmlEntities(std::string_view text) {
   return out;
 }
 
-std::string EscapeXml(const std::string& text, bool attribute) {
+std::string EscapeXml(std::string_view text, bool attribute) {
   std::string out;
   out.reserve(text.size());
   for (char c : text) {

@@ -9,16 +9,18 @@ namespace treediff {
 
 namespace {
 
-/// Approximate footprint of a cached entry: the node arena (records +
-/// values + child lists) plus the warmed index's per-node arrays. Dead
-/// slots count too — they occupy arena either way.
+/// Approximate footprint of a cached entry, charged by content so that
+/// the same tree costs the same however it was built: a per-id constant
+/// for the node record and the warmed index's per-node arrays, plus each
+/// slot's value bytes and child ids. Dead slots count too; they keep their
+/// record and value either way.
 size_t ApproxFootprint(const Tree& tree) {
-  // Per id: NodeRec bookkeeping (~80 B) + index scalar/order/fingerprint
-  // arrays (5 ints + 2 orders worth of ids + hashes, ~96 B).
+  // Per id: node record bookkeeping + index scalar/order/fingerprint
+  // arrays (5 ints + 2 orders worth of ids + hashes), ~176 B together.
   size_t bytes = tree.id_bound() * 176;
   for (NodeId x = 0; x < static_cast<NodeId>(tree.id_bound()); ++x) {
-    bytes += tree.value(x).capacity();
-    bytes += tree.children(x).capacity() * sizeof(NodeId);
+    bytes += tree.value(x).size();
+    bytes += tree.children(x).size() * sizeof(NodeId);
   }
   return bytes;
 }

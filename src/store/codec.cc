@@ -1,7 +1,11 @@
 #include "store/codec.h"
 
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
+
+#include "tree/tree_access.h"
 
 namespace treediff {
 
@@ -73,24 +77,6 @@ bool GetLengthPrefixed(std::string_view* input, std::string_view* out) {
 // ---------------------------------------------------------------------------
 // Tree codec
 
-/// Friend shim: installs a fully decoded arena into a Tree. The codec is
-/// the only caller; everything it installs has been validated first.
-class TreeCodecAccess {
- public:
-  using NodeRec = Tree::NodeRec;
-
-  static const std::vector<NodeRec>& Nodes(const Tree& t) { return t.nodes_; }
-
-  static Tree Build(std::shared_ptr<LabelTable> labels, NodeId root,
-                    std::vector<NodeRec> nodes, size_t live_count) {
-    Tree t(std::move(labels));
-    t.nodes_ = std::move(nodes);
-    t.root_ = root;
-    t.live_count_ = live_count;
-    return t;
-  }
-};
-
 namespace {
 
 constexpr uint8_t kCodecVersion = 1;
@@ -103,43 +89,45 @@ Status CodecError(const std::string& what) {
 }  // namespace
 
 std::string EncodeTree(const Tree& tree) {
-  const auto& nodes = TreeCodecAccess::Nodes(tree);
+  const auto id_bound = static_cast<NodeId>(tree.id_bound());
   std::string out;
   out.push_back(static_cast<char>(kCodecVersion));
-  PutVarint64(&out, nodes.size());
+  PutVarint64(&out, tree.id_bound());
   PutVarint64(&out, static_cast<uint64_t>(tree.root() + 1));
 
   // Local label table: referenced labels in order of first appearance.
   std::vector<LabelId> local_of_global;  // global id -> local id + 1 (0 = none)
   std::vector<LabelId> globals;          // local id -> global id
-  for (const auto& rec : nodes) {
-    if (rec.label < 0) continue;
-    if (static_cast<size_t>(rec.label) >= local_of_global.size()) {
-      local_of_global.resize(static_cast<size_t>(rec.label) + 1, 0);
+  for (NodeId x = 0; x < id_bound; ++x) {
+    const LabelId label = tree.label(x);
+    if (label < 0) continue;
+    if (static_cast<size_t>(label) >= local_of_global.size()) {
+      local_of_global.resize(static_cast<size_t>(label) + 1, 0);
     }
-    if (local_of_global[static_cast<size_t>(rec.label)] == 0) {
-      globals.push_back(rec.label);
-      local_of_global[static_cast<size_t>(rec.label)] =
+    if (local_of_global[static_cast<size_t>(label)] == 0) {
+      globals.push_back(label);
+      local_of_global[static_cast<size_t>(label)] =
           static_cast<LabelId>(globals.size());
     }
   }
   PutVarint64(&out, globals.size());
   for (LabelId g : globals) PutLengthPrefixed(&out, tree.labels().Name(g));
 
-  for (const auto& rec : nodes) {
-    out.push_back(static_cast<char>(rec.alive ? kFlagAlive : 0));
+  for (NodeId x = 0; x < id_bound; ++x) {
+    const bool alive = tree.Alive(x);
+    const LabelId label = tree.label(x);
+    out.push_back(static_cast<char>(alive ? kFlagAlive : 0));
     uint64_t local =
-        rec.label < 0 ? 0
-                      : static_cast<uint64_t>(
-                            local_of_global[static_cast<size_t>(rec.label)]);
+        label < 0 ? 0
+                  : static_cast<uint64_t>(
+                        local_of_global[static_cast<size_t>(label)]);
     PutVarint64(&out, local);  // 0 = no label (never produced in practice).
-    PutLengthPrefixed(&out, rec.value);
-    PutVarint64(&out, static_cast<uint64_t>(rec.parent + 1));
-    if (rec.alive) {
-      PutVarint64(&out, rec.children.size());
-      for (NodeId c : rec.children) {
-        PutVarint64(&out, static_cast<uint64_t>(c));
-      }
+    PutLengthPrefixed(&out, tree.value(x));
+    PutVarint64(&out, static_cast<uint64_t>(tree.parent(x) + 1));
+    if (alive) {
+      const std::span<const NodeId> kids = tree.children(x);
+      PutVarint64(&out, kids.size());
+      for (NodeId c : kids) PutVarint64(&out, static_cast<uint64_t>(c));
     }
   }
   return out;
@@ -153,6 +141,10 @@ StatusOr<Tree> DecodeTree(std::string_view data,
   in.remove_prefix(1);
   if (version != kCodecVersion) {
     return CodecError("unsupported version " + std::to_string(version));
+  }
+  // Value and child spans are 32-bit, and each is at most the input.
+  if (data.size() > std::numeric_limits<uint32_t>::max()) {
+    return CodecError("input exceeds 4 GiB");
   }
 
   uint64_t id_bound = 0, root_plus1 = 0, label_count = 0;
@@ -177,49 +169,57 @@ StatusOr<Tree> DecodeTree(std::string_view data,
     globals.push_back(labels->Intern(name));
   }
 
-  std::vector<TreeCodecAccess::NodeRec> nodes(static_cast<size_t>(id_bound));
+  Tree tree(std::move(labels));
+  // Values and child ids are each at most the input's bytes.
+  TreeCodecAccess::Reserve(&tree, static_cast<size_t>(id_bound), in.size(),
+                           static_cast<size_t>(id_bound));
+  std::string& values = TreeCodecAccess::values(&tree);
+  std::vector<NodeId> kids;
   size_t live = 0;
   for (uint64_t i = 0; i < id_bound; ++i) {
-    auto& rec = nodes[static_cast<size_t>(i)];
     if (in.empty()) return CodecError("truncated node");
     uint8_t flags = static_cast<uint8_t>(in.front());
     in.remove_prefix(1);
     if (flags & ~kFlagAlive) return CodecError("unknown node flags");
-    rec.alive = (flags & kFlagAlive) != 0;
-    if (rec.alive) ++live;
+    const bool alive = (flags & kFlagAlive) != 0;
+    if (alive) ++live;
 
     uint64_t local = 0;
     if (!GetVarint64(&in, &local)) return CodecError("truncated label ref");
     if (local == 0 || local > globals.size()) {
       return CodecError("label ref out of range");
     }
-    rec.label = globals[static_cast<size_t>(local - 1)];
+    const LabelId label = globals[static_cast<size_t>(local - 1)];
 
     std::string_view value;
     if (!GetLengthPrefixed(&in, &value)) return CodecError("truncated value");
-    rec.value.assign(value);
 
     uint64_t parent_plus1 = 0;
     if (!GetVarint64(&in, &parent_plus1)) return CodecError("truncated parent");
     if (parent_plus1 > id_bound) return CodecError("parent out of range");
-    rec.parent = static_cast<NodeId>(parent_plus1) - 1;
-    if (!rec.alive && rec.parent != kInvalidNode) {
+    const NodeId parent = static_cast<NodeId>(parent_plus1) - 1;
+    if (!alive && parent != kInvalidNode) {
       return CodecError("dead slot with a parent");
     }
+    const size_t value_offset = values.size();
+    values.append(value);
+    const NodeId id =
+        TreeCodecAccess::AddNode(&tree, label, parent, alive, value_offset);
 
-    if (rec.alive) {
+    if (alive) {
       uint64_t nchildren = 0;
       if (!GetVarint64(&in, &nchildren)) {
         return CodecError("truncated child count");
       }
       if (nchildren > id_bound) return CodecError("implausible child count");
-      rec.children.reserve(static_cast<size_t>(nchildren));
+      kids.clear();
       for (uint64_t c = 0; c < nchildren; ++c) {
         uint64_t child = 0;
         if (!GetVarint64(&in, &child)) return CodecError("truncated child id");
         if (child >= id_bound) return CodecError("child out of range");
-        rec.children.push_back(static_cast<NodeId>(child));
+        kids.push_back(static_cast<NodeId>(child));
       }
+      TreeCodecAccess::SetChildren(&tree, id, kids);
     }
   }
   if (!in.empty()) return CodecError("trailing bytes");
@@ -228,12 +228,10 @@ StatusOr<Tree> DecodeTree(std::string_view data,
   if (root == kInvalidNode && live != 0) {
     return CodecError("live nodes but no root");
   }
-  if (root != kInvalidNode && !nodes[static_cast<size_t>(root)].alive) {
+  if (root != kInvalidNode && !tree.Alive(root)) {
     return CodecError("root is not a live node");
   }
-
-  Tree tree = TreeCodecAccess::Build(std::move(labels), root, std::move(nodes),
-                                     live);
+  TreeCodecAccess::Finish(&tree, root, live);
   // Full structural validation (parent/child symmetry, acyclicity,
   // reachability): corrupt bytes that survived the per-field checks — e.g.
   // a child list naming a dead node, or a cycle — are caught here rather

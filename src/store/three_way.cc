@@ -86,7 +86,7 @@ StatusOr<ThreeWayResult> ThreeWayMerge(const Tree& base, const Tree& ours,
         skip_theirs.insert(node);  // Convergent edit: dedupe silently.
       } else {
         conflict(ConflictKind::kUpdateUpdate, node,
-                 "both sides updated \"" + base.value(node) +
+                 "both sides updated \"" + std::string(base.value(node)) +
                      "\" to different values");
       }
     } else if (mine.deletes.count(node) > 0) {

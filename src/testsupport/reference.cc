@@ -75,8 +75,11 @@ class BruteForcer {
     // Match v with w: the subtrees pair off, the rests pair off.
     std::vector<NodeId> f1_rest(f1.begin(), f1.end() - 1);
     std::vector<NodeId> f2_rest(f2.begin(), f2.end() - 1);
+    const std::span<const NodeId> c1 = t1_.children(v);
+    const std::span<const NodeId> c2 = t2_.children(w);
     best = std::min(best, ForestDist(f1_rest, f2_rest) +
-                              ForestDist(t1_.children(v), t2_.children(w)) +
+                              ForestDist({c1.begin(), c1.end()},
+                                         {c2.begin(), c2.end()}) +
                               Rename(v, w));
 
     memo_.emplace(std::move(key), best);
@@ -98,7 +101,7 @@ double BruteForceEditDistance(const Tree& t1, const Tree& t2,
   return bf.Run();
 }
 
-double WordLcsDistance(const std::string& a, const std::string& b,
+double WordLcsDistance(std::string_view a, std::string_view b,
                        bool normalize_words) {
   if (a == b) return 0.0;
   const std::vector<std::string> ta = SplitWords(a, normalize_words);

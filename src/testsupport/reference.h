@@ -1,7 +1,7 @@
 #ifndef TREEDIFF_TESTSUPPORT_REFERENCE_H_
 #define TREEDIFF_TESTSUPPORT_REFERENCE_H_
 
-#include <string>
+#include <string_view>
 
 #include "tree/tree.h"
 #include "zs/zhang_shasha.h"
@@ -21,7 +21,7 @@ double BruteForceEditDistance(const Tree& t1, const Tree& t2,
 /// Compares two raw strings with the word-LCS metric: the arithmetic of
 /// WordLcsComparator, recomputed with a plain LCS over the word lists and
 /// without trees or caching.
-double WordLcsDistance(const std::string& a, const std::string& b,
+double WordLcsDistance(std::string_view a, std::string_view b,
                        bool normalize_words = false);
 
 }  // namespace treediff

@@ -1,11 +1,15 @@
 #include "tree/builder.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "tree/tree_access.h"
 
 namespace treediff {
 
@@ -84,6 +88,15 @@ StatusOr<Tree> ParseSexpr(std::string_view text,
   Tree tree(std::move(labels));
   LabelMap label_ids(tree.label_table().get());
   const size_t n = text.size();
+  if (n > std::numeric_limits<uint32_t>::max()) {
+    return Status::ResourceExhausted("s-expression text exceeds 4 GiB");
+  }
+  // Every node opens with '(', so the count bounds the nodes; the values
+  // are at most the text.
+  const auto opens =
+      static_cast<size_t>(std::count(text.begin(), text.end(), '('));
+  TreeCodecAccess::Reserve(&tree, opens, n, opens);
+  std::string& values = TreeCodecAccess::values(&tree);
   size_t pos = 0;
   auto skip_space = [&] {
     while (pos < n &&
@@ -94,7 +107,15 @@ StatusOr<Tree> ParseSexpr(std::string_view text,
 
   // The open nodes, root first. Each pass of the loop reads one node's
   // '(' label value?, then closes nodes until the next '(' or the end.
-  std::vector<NodeId> open;
+  // `pending` holds the children read so far of every open node, each
+  // node's run starting at its frame's `first_child`; a node's child list
+  // is written when it closes.
+  struct Open {
+    NodeId id;
+    size_t first_child;
+  };
+  std::vector<Open> open;
+  std::vector<NodeId> pending;
   skip_space();
   if (pos == n || text[pos] != '(') return Expected('(', pos);
   while (true) {
@@ -121,7 +142,7 @@ StatusOr<Tree> ParseSexpr(std::string_view text,
         label_ids.Intern(text.substr(label_start, pos - label_start));
     skip_space();
 
-    std::string value;
+    const size_t value_offset = values.size();
     if (pos < n && text[pos] == '"') {
       // Find the closing quote first, so the value is sized once and then
       // copied in runs between escapes.
@@ -136,29 +157,35 @@ StatusOr<Tree> ParseSexpr(std::string_view text,
       }
       if (pos == n) return Expected('"', pos);
       if (escapes == 0) {
-        value.assign(text.data() + start, pos - start);
+        values.append(text.data() + start, pos - start);
       } else {
-        value.reserve(pos - start - escapes);
         size_t run = start;
         for (size_t i = start; i < pos; ++i) {
           if (text[i] != '\\') continue;
-          value.append(text.data() + run, i - run);
+          values.append(text.data() + run, i - run);
           run = ++i;  // The escaped byte opens the next run.
         }
-        value.append(text.data() + run, pos - run);
+        values.append(text.data() + run, pos - run);
       }
       ++pos;
       skip_space();
     }
-    open.push_back(open.empty()
-                       ? tree.AddRoot(label, std::move(value))
-                       : tree.AddChild(open.back(), label, std::move(value)));
+    const NodeId parent = open.empty() ? kInvalidNode : open.back().id;
+    const NodeId id = TreeCodecAccess::AddNode(&tree, label, parent,
+                                               /*alive=*/true, value_offset);
+    if (parent != kInvalidNode) pending.push_back(id);
+    open.push_back({id, pending.size()});
 
     // Close nodes until a child opens or the root closes.
     while (pos == n || text[pos] != '(') {
       if (pos == n || text[pos] != ')') return Expected(')', pos);
       ++pos;
+      const Open closed = open.back();
       open.pop_back();
+      TreeCodecAccess::SetChildren(
+          &tree, closed.id,
+          std::span<const NodeId>(pending).subspan(closed.first_child));
+      pending.resize(closed.first_child);
       skip_space();
       if (open.empty()) {
         if (pos != n) {
@@ -166,6 +193,7 @@ StatusOr<Tree> ParseSexpr(std::string_view text,
               "trailing characters after tree at offset " +
               std::to_string(pos));
         }
+        TreeCodecAccess::Finish(&tree, /*root=*/0, tree.id_bound());
         return tree;
       }
     }

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
+#include <limits>
 
 #include "tree/tree_index.h"
 
@@ -14,19 +17,12 @@ Tree::Tree(std::shared_ptr<LabelTable> labels) : labels_(std::move(labels)) {
   if (!labels_) labels_ = std::make_shared<LabelTable>();
 }
 
-Tree::Tree(const Tree& other)
-    : labels_(other.labels_),
-      nodes_(other.nodes_),
-      root_(other.root_),
-      live_count_(other.live_count_) {}
+Tree::Tree(const Tree& other) { CopyContents(other); }
 
 Tree& Tree::operator=(const Tree& other) {
   if (this == &other) return *this;
   AbortIfFrozen("copy-assignment");
-  labels_ = other.labels_;
-  nodes_ = other.nodes_;
-  root_ = other.root_;
-  live_count_ = other.live_count_;
+  CopyContents(other);
   NotifyBulk();
   return *this;
 }
@@ -34,9 +30,15 @@ Tree& Tree::operator=(const Tree& other) {
 Tree::Tree(Tree&& other) noexcept
     : labels_(std::move(other.labels_)),
       nodes_(std::move(other.nodes_)),
+      values_(std::move(other.values_)),
+      kids_(std::move(other.kids_)),
+      value_garbage_(other.value_garbage_),
+      kids_garbage_(other.kids_garbage_),
       root_(other.root_),
       live_count_(other.live_count_),
       frozen_(other.frozen_) {
+  other.value_garbage_ = 0;
+  other.kids_garbage_ = 0;
   other.root_ = kInvalidNode;
   other.live_count_ = 0;
   other.NotifyGoneAndClear();
@@ -48,8 +50,14 @@ Tree& Tree::operator=(Tree&& other) noexcept {
   frozen_ = other.frozen_;
   labels_ = std::move(other.labels_);
   nodes_ = std::move(other.nodes_);
+  values_ = std::move(other.values_);
+  kids_ = std::move(other.kids_);
+  value_garbage_ = other.value_garbage_;
+  kids_garbage_ = other.kids_garbage_;
   root_ = other.root_;
   live_count_ = other.live_count_;
+  other.value_garbage_ = 0;
+  other.kids_garbage_ = 0;
   other.root_ = kInvalidNode;
   other.live_count_ = 0;
   other.NotifyGoneAndClear();
@@ -74,7 +82,121 @@ inline Status FrozenError(const char* op) {
                                     ": tree is frozen (Tree::Freeze)");
 }
 
+/// The first capacity a child list relocates to; later moves double it.
+constexpr size_t kMinKidsCapacity = 4;
+
 }  // namespace
+
+void Tree::CheckSpan(size_t end, const char* buffer) {
+  if (end <= std::numeric_limits<Span32>::max()) return;
+  // About to abort: the diagnostic is best effort.
+  (void)std::fprintf(stderr, "treediff: tree %s buffer exceeds 4 GiB\n",
+                     buffer);
+  std::abort();
+}
+
+void Tree::AppendValue(NodeRec* rec, std::string_view value) {
+  const size_t old_size = values_.size();
+  CheckSpan(old_size + value.size(), "value");
+  const auto base = reinterpret_cast<uintptr_t>(values_.data());
+  const auto from = reinterpret_cast<uintptr_t>(value.data());
+  if (!value.empty() && from >= base && from < base + old_size) {
+    // `value` views values_: growing the buffer may move it, so copy by
+    // offset once the buffer has its new size.
+    const size_t offset = from - base;
+    values_.resize(old_size + value.size());
+    std::memcpy(values_.data() + old_size, values_.data() + offset,
+                value.size());
+  } else {
+    values_.append(value);
+  }
+  rec->value_offset = static_cast<Span32>(old_size);
+  rec->value_size = static_cast<Span32>(value.size());
+}
+
+NodeId Tree::NewNode(LabelId label, NodeId parent, std::string_view value) {
+  NodeRec rec;
+  rec.label = label;
+  rec.parent = parent;
+  AppendValue(&rec, value);
+  nodes_.push_back(rec);
+  return static_cast<NodeId>(nodes_.size() - 1);
+}
+
+void Tree::InsertKid(NodeId parent, size_t pos, NodeId child) {
+  NodeRec& rec = node(parent);
+  if (rec.kids_size == rec.kids_capacity) {
+    const size_t capacity =
+        std::max(kMinKidsCapacity, 2 * static_cast<size_t>(rec.kids_capacity));
+    if (rec.kids_offset + rec.kids_capacity == kids_.size()) {
+      // The list ends the buffer: grow it where it is.
+      CheckSpan(rec.kids_offset + capacity, "child");
+      kids_.resize(rec.kids_offset + capacity);
+    } else {
+      const size_t offset = kids_.size();
+      CheckSpan(offset + capacity, "child");
+      kids_.resize(offset + capacity);
+      std::copy_n(kids_.begin() + rec.kids_offset, rec.kids_size,
+                  kids_.begin() + static_cast<ptrdiff_t>(offset));
+      kids_garbage_ += rec.kids_capacity;
+      rec.kids_offset = static_cast<Span32>(offset);
+    }
+    rec.kids_capacity = static_cast<Span32>(capacity);
+  }
+  NodeId* list = kids_.data() + rec.kids_offset;
+  std::copy_backward(list + pos, list + rec.kids_size,
+                     list + rec.kids_size + 1);
+  list[pos] = child;
+  ++rec.kids_size;
+}
+
+void Tree::RemoveKid(NodeId parent, NodeId child) {
+  NodeRec& rec = node(parent);
+  NodeId* list = kids_.data() + rec.kids_offset;
+  NodeId* end = list + rec.kids_size;
+  NodeId* it = std::find(list, end, child);
+  assert(it != end);
+  std::copy(it + 1, end, it);
+  --rec.kids_size;
+}
+
+void Tree::CopyContents(const Tree& other) {
+  labels_ = other.labels_;
+  nodes_ = other.nodes_;
+  root_ = other.root_;
+  live_count_ = other.live_count_;
+  const size_t live_values = other.values_.size() - other.value_garbage_;
+  if (other.value_garbage_ > live_values) {
+    values_.clear();
+    values_.reserve(live_values);
+    for (NodeRec& rec : nodes_) {
+      const size_t offset = values_.size();
+      values_.append(other.values_, rec.value_offset, rec.value_size);
+      rec.value_offset = static_cast<Span32>(offset);
+    }
+    value_garbage_ = 0;
+  } else {
+    values_ = other.values_;
+    value_garbage_ = other.value_garbage_;
+  }
+  const size_t live_kids = other.kids_.size() - other.kids_garbage_;
+  if (other.kids_garbage_ > live_kids) {
+    // Compacted lists keep no slack: capacity is the size.
+    kids_.clear();
+    kids_.reserve(live_kids);
+    for (NodeRec& rec : nodes_) {
+      const size_t offset = kids_.size();
+      kids_.insert(kids_.end(), other.kids_.begin() + rec.kids_offset,
+                   other.kids_.begin() + rec.kids_offset + rec.kids_size);
+      rec.kids_offset = static_cast<Span32>(offset);
+      rec.kids_capacity = rec.kids_size;
+    }
+    kids_garbage_ = 0;
+  } else {
+    kids_ = other.kids_;
+    kids_garbage_ = other.kids_garbage_;
+  }
+}
 
 void Tree::AttachIndex(TreeIndex* index) const { observers_.push_back(index); }
 
@@ -116,52 +238,39 @@ void Tree::NotifyGoneAndClear() const {
   observers_.clear();
 }
 
-NodeId Tree::AddRoot(LabelId label, std::string value) {
+NodeId Tree::AddRoot(LabelId label, std::string_view value) {
   AbortIfFrozen("AddRoot");
   assert(root_ == kInvalidNode && "tree already has a root");
-  NodeRec rec;
-  rec.label = label;
-  rec.value = std::move(value);
-  nodes_.push_back(std::move(rec));
-  root_ = static_cast<NodeId>(nodes_.size() - 1);
+  root_ = NewNode(label, kInvalidNode, value);
   ++live_count_;
   NotifyBulk();
   return root_;
 }
 
-NodeId Tree::AddChild(NodeId parent, LabelId label, std::string value) {
+NodeId Tree::AddChild(NodeId parent, LabelId label, std::string_view value) {
   AbortIfFrozen("AddChild");
   assert(Alive(parent));
-  NodeRec rec;
-  rec.label = label;
-  rec.value = std::move(value);
-  rec.parent = parent;
-  nodes_.push_back(std::move(rec));
-  NodeId id = static_cast<NodeId>(nodes_.size() - 1);
-  node(parent).children.push_back(id);
+  const NodeId id = NewNode(label, parent, value);
+  InsertKid(parent, node(parent).kids_size, id);
   ++live_count_;
   NotifyBulk();
   return id;
 }
 
-NodeId Tree::AddRoot(std::string_view label_name, std::string value) {
-  return AddRoot(labels_->Intern(label_name), std::move(value));
+NodeId Tree::AddRoot(std::string_view label_name, std::string_view value) {
+  return AddRoot(labels_->Intern(label_name), value);
 }
 
 NodeId Tree::AddChild(NodeId parent, std::string_view label_name,
-                      std::string value) {
-  return AddChild(parent, labels_->Intern(label_name), std::move(value));
+                      std::string_view value) {
+  return AddChild(parent, labels_->Intern(label_name), value);
 }
 
-NodeId Tree::WrapRoot(LabelId label, std::string value) {
+NodeId Tree::WrapRoot(LabelId label, std::string_view value) {
   AbortIfFrozen("WrapRoot");
   assert(root_ != kInvalidNode && "cannot wrap an empty tree");
-  NodeRec rec;
-  rec.label = label;
-  rec.value = std::move(value);
-  rec.children.push_back(root_);
-  nodes_.push_back(std::move(rec));
-  NodeId id = static_cast<NodeId>(nodes_.size() - 1);
+  const NodeId id = NewNode(label, kInvalidNode, value);
+  InsertKid(id, 0, root_);
   node(root_).parent = id;
   root_ = id;
   ++live_count_;
@@ -186,25 +295,17 @@ bool Tree::IsAncestorOrSelf(NodeId anc, NodeId desc) const {
   return false;
 }
 
-StatusOr<NodeId> Tree::InsertLeaf(LabelId label, std::string value,
+StatusOr<NodeId> Tree::InsertLeaf(LabelId label, std::string_view value,
                                   NodeId parent, int k) {
   if (frozen_) return FrozenError("insert");
   if (!Alive(parent)) {
     return Status::InvalidArgument("insert: parent is not a live node");
   }
-  auto& kids = node(parent).children;
-  if (k < 1 || static_cast<size_t>(k) > kids.size() + 1) {
+  if (k < 1 || static_cast<size_t>(k) > node(parent).kids_size + 1) {
     return Status::OutOfRange("insert: position k out of range");
   }
-  NodeRec rec;
-  rec.label = label;
-  rec.value = std::move(value);
-  rec.parent = parent;
-  nodes_.push_back(std::move(rec));
-  NodeId id = static_cast<NodeId>(nodes_.size() - 1);
-  // nodes_ may have reallocated; re-fetch the child list.
-  auto& kids2 = node(parent).children;
-  kids2.insert(kids2.begin() + (k - 1), id);
+  const NodeId id = NewNode(label, parent, value);
+  InsertKid(parent, static_cast<size_t>(k - 1), id);
   ++live_count_;
   NotifyInsert(id);
   return id;
@@ -219,8 +320,7 @@ Status Tree::DeleteLeaf(NodeId x) {
   }
   NodeId p = parent(x);
   if (p != kInvalidNode) {
-    auto& siblings = node(p).children;
-    siblings.erase(std::find(siblings.begin(), siblings.end(), x));
+    RemoveKid(p, x);
   } else {
     root_ = kInvalidNode;
   }
@@ -244,7 +344,7 @@ Status Tree::ReviveLeaf(NodeId x, NodeId parent, int k) {
     if (k != 1) return Status::OutOfRange("revive: root position must be 1");
     node(x).alive = true;
     node(x).parent = kInvalidNode;
-    node(x).children.clear();
+    node(x).kids_size = 0;
     root_ = x;
     ++live_count_;
     NotifyRevive(x);
@@ -253,14 +353,13 @@ Status Tree::ReviveLeaf(NodeId x, NodeId parent, int k) {
   if (!Alive(parent)) {
     return Status::InvalidArgument("revive: parent is not a live node");
   }
-  auto& kids = node(parent).children;
-  if (k < 1 || static_cast<size_t>(k) > kids.size() + 1) {
+  if (k < 1 || static_cast<size_t>(k) > node(parent).kids_size + 1) {
     return Status::OutOfRange("revive: position k out of range");
   }
-  kids.insert(kids.begin() + (k - 1), x);
+  InsertKid(parent, static_cast<size_t>(k - 1), x);
   node(x).alive = true;
   node(x).parent = parent;
-  node(x).children.clear();
+  node(x).kids_size = 0;
   ++live_count_;
   NotifyRevive(x);
   return Status::Ok();
@@ -277,15 +376,21 @@ Status Tree::TruncateDeadTail(size_t bound) {
           "truncate: slot " + std::to_string(i) + " is still live");
     }
   }
+  for (size_t i = bound; i < nodes_.size(); ++i) {
+    value_garbage_ += nodes_[i].value_size;
+    kids_garbage_ += nodes_[i].kids_capacity;
+  }
   nodes_.resize(bound);
   NotifyTruncate(bound);
   return Status::Ok();
 }
 
-Status Tree::UpdateValue(NodeId x, std::string value) {
+Status Tree::UpdateValue(NodeId x, std::string_view value) {
   if (frozen_) return FrozenError("update");
   if (!Alive(x)) return Status::InvalidArgument("update: node is not live");
-  node(x).value = std::move(value);
+  NodeRec& rec = node(x);
+  value_garbage_ += rec.value_size;
+  AppendValue(&rec, value);
   NotifyUpdate(x);
   return Status::Ok();
 }
@@ -301,22 +406,16 @@ Status Tree::MoveSubtree(NodeId x, NodeId new_parent, int k) {
     return Status::InvalidArgument(
         "move: target parent is inside the moved subtree");
   }
-  // Detach.
-  NodeId old_parent = parent(x);
-  auto& old_siblings = node(old_parent).children;
-  auto old_it = std::find(old_siblings.begin(), old_siblings.end(), x);
-  const size_t old_index = static_cast<size_t>(old_it - old_siblings.begin());
-  old_siblings.erase(old_it);
-  // Attach at k (1-based, counted after detachment).
-  auto& kids = node(new_parent).children;
-  if (k < 1 || static_cast<size_t>(k) > kids.size() + 1) {
-    // Restore the exact original position before failing, so a rejected
-    // move leaves the tree (and any attached index) untouched.
-    auto& restore = node(old_parent).children;
-    restore.insert(restore.begin() + static_cast<ptrdiff_t>(old_index), x);
+  // k is 1-based and counted after detachment. Checked before detaching,
+  // so a rejected move leaves the tree (and any attached index) untouched.
+  const NodeId old_parent = parent(x);
+  const size_t siblings_after =
+      node(new_parent).kids_size - (old_parent == new_parent ? 1 : 0);
+  if (k < 1 || static_cast<size_t>(k) > siblings_after + 1) {
     return Status::OutOfRange("move: position k out of range");
   }
-  kids.insert(kids.begin() + (k - 1), x);
+  RemoveKid(old_parent, x);
+  InsertKid(new_parent, static_cast<size_t>(k - 1), x);
   node(x).parent = new_parent;
   NotifyMove(x, old_parent);
   return Status::Ok();
@@ -344,7 +443,7 @@ std::vector<NodeId> Tree::PostOrder() const {
   std::vector<std::pair<NodeId, size_t>> stack = {{root_, 0}};
   while (!stack.empty()) {
     auto& [x, cursor] = stack.back();
-    const auto& kids = children(x);
+    const std::span<const NodeId> kids = children(x);
     if (cursor < kids.size()) {
       NodeId next = kids[cursor++];
       stack.push_back({next, 0});
@@ -365,7 +464,7 @@ std::vector<NodeId> Tree::PreOrder() const {
     NodeId x = stack.back();
     stack.pop_back();
     order.push_back(x);
-    const auto& kids = children(x);
+    const std::span<const NodeId> kids = children(x);
     for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
   }
   return order;
@@ -382,7 +481,7 @@ std::vector<NodeId> Tree::Leaves() const {
 std::vector<int> Tree::LeafCounts() const {
   std::vector<int> counts(nodes_.size(), 0);
   for (NodeId x : PostOrder()) {
-    const auto& kids = children(x);
+    const std::span<const NodeId> kids = children(x);
     if (kids.empty()) {
       counts[static_cast<size_t>(x)] = 1;
     } else {
@@ -396,9 +495,7 @@ std::vector<int> Tree::LeafCounts() const {
 
 Tree Tree::Clone() const {
   Tree copy(labels_);
-  copy.nodes_ = nodes_;
-  copy.root_ = root_;
-  copy.live_count_ = live_count_;
+  copy.CopyContents(*this);
   return copy;
 }
 
@@ -419,8 +516,8 @@ bool Tree::Isomorphic(const Tree& a, const Tree& b) {
       return false;
     }
     if (a.value(x) != b.value(y)) return false;
-    const auto& ax = a.children(x);
-    const auto& by = b.children(y);
+    const std::span<const NodeId> ax = a.children(x);
+    const std::span<const NodeId> by = b.children(y);
     if (ax.size() != by.size()) return false;
     for (size_t i = 0; i < ax.size(); ++i) stack.push_back({ax[i], by[i]});
   }
@@ -428,6 +525,23 @@ bool Tree::Isomorphic(const Tree& a, const Tree& b) {
 }
 
 Status Tree::Validate() const {
+  // Arena accounting: every span lies inside its buffer, and the spans
+  // plus the counted garbage cover each buffer exactly.
+  size_t value_bytes = value_garbage_;
+  size_t kid_slots = kids_garbage_;
+  for (const NodeRec& rec : nodes_) {
+    if (rec.value_offset + size_t{rec.value_size} > values_.size() ||
+        rec.kids_size > rec.kids_capacity ||
+        rec.kids_offset + size_t{rec.kids_capacity} > kids_.size()) {
+      return Status::Internal("node span lies outside its buffer");
+    }
+    value_bytes += rec.value_size;
+    kid_slots += rec.kids_capacity;
+  }
+  if (value_bytes != values_.size() || kid_slots != kids_.size()) {
+    return Status::Internal("arena accounting mismatch");
+  }
+
   size_t live = 0;
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const NodeRec& rec = nodes_[i];
@@ -446,12 +560,12 @@ Status Tree::Validate() const {
       if (!Alive(rec.parent)) {
         return Status::Internal("live node has dead parent");
       }
-      const auto& siblings = node(rec.parent).children;
+      const std::span<const NodeId> siblings = children(rec.parent);
       if (std::count(siblings.begin(), siblings.end(), id) != 1) {
         return Status::Internal("parent/child lists are inconsistent");
       }
     }
-    for (NodeId c : rec.children) {
+    for (NodeId c : children(id)) {
       if (!Alive(c)) return Status::Internal("live node has dead child");
       if (node(c).parent != id) {
         return Status::Internal("child's parent pointer is wrong");
@@ -506,12 +620,12 @@ size_t Tree::DebugStringSize() const {
     const NodeId x = stack.back();
     stack.pop_back();
     bytes += 2 + label_name(x).size();
-    const std::string& v = value(x);
+    const std::string_view v = value(x);
     if (!v.empty()) {
       bytes += 3 + v.size();
       for (char c : v) bytes += (c == '"' || c == '\\') ? 1 : 0;
     }
-    const auto& kids = children(x);
+    const std::span<const NodeId> kids = children(x);
     bytes += kids.size();
     stack.insert(stack.end(), kids.begin(), kids.end());
   }

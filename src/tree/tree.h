@@ -2,8 +2,11 @@
 #define TREEDIFF_TREE_TREE_H_
 
 #include <cassert>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tree/label.h"
@@ -29,6 +32,32 @@ class TreeIndex;
 /// (e.g., sentence text). The tree supports the four edit operations of
 /// Section 3.2 as mutations, which Algorithm EditScript uses to transform the
 /// old tree in place as it emits operations.
+///
+/// Layout. A tree is three flat buffers: `nodes_`, trivially copyable
+/// records indexed by NodeId; `values_`, one byte buffer holding every
+/// node's value; and `kids_`, one id buffer holding every child list. A
+/// record names its value as an (offset, length) span of `values_` and its
+/// child list as an (offset, length, capacity) span of `kids_`. Copying a
+/// tree is therefore three buffer copies and destroying it three frees,
+/// however many nodes it has.
+///
+/// Views. value(x) returns a std::string_view into `values_` and
+/// children(x) a std::span into `kids_`. A view or span is valid until the
+/// next mutation of that tree (any edit operation, construction call or
+/// assignment), or until the tree is destroyed; copy it out first to keep
+/// it. A mutation may itself take a view of the same tree as its argument,
+/// e.g. UpdateValue(x, value(y)): the bytes are read before the buffer
+/// moves.
+///
+/// Mutations. A new value (AddRoot, AddChild, WrapRoot, InsertLeaf,
+/// UpdateValue) is appended to `values_`; the bytes it replaces stay in
+/// place as counted garbage. A child list grows in place while its
+/// capacity allows and otherwise moves to the tail of `kids_` with doubled
+/// capacity, leaving its old slots as counted garbage; removing a child
+/// shifts the list in place. Clone() and copying compact a buffer whose
+/// garbage exceeds its live contents, so a tree that is cloned after each
+/// batch of edits (a store head, cloned per commit) stays within twice its
+/// live size.
 class Tree {
  public:
   /// Creates an empty tree whose labels are interned in `labels`. All trees
@@ -49,21 +78,21 @@ class Tree {
   // ----- Construction -----
 
   /// Adds the root node. Must be called exactly once, before AddChild.
-  NodeId AddRoot(LabelId label, std::string value = "");
+  NodeId AddRoot(LabelId label, std::string_view value = {});
 
   /// Appends a new node as the last child of `parent`.
-  NodeId AddChild(NodeId parent, LabelId label, std::string value = "");
+  NodeId AddChild(NodeId parent, LabelId label, std::string_view value = {});
 
   /// Convenience overloads that intern the label name.
-  NodeId AddRoot(std::string_view label_name, std::string value = "");
+  NodeId AddRoot(std::string_view label_name, std::string_view value = {});
   NodeId AddChild(NodeId parent, std::string_view label_name,
-                  std::string value = "");
+                  std::string_view value = {});
 
   /// Adds a new node above the current root: the new node becomes the root
   /// and the old root its only child. This is the "dummy root" device of the
   /// insert phase (Section 4.1) for comparing trees whose roots are not
   /// matched. The tree must be non-empty.
-  NodeId WrapRoot(LabelId label, std::string value = "");
+  NodeId WrapRoot(LabelId label, std::string_view value = {});
 
   // ----- Accessors -----
 
@@ -83,12 +112,22 @@ class Tree {
   }
 
   LabelId label(NodeId x) const { return node(x).label; }
-  const std::string& value(NodeId x) const { return node(x).value; }
   NodeId parent(NodeId x) const { return node(x).parent; }
-  const std::vector<NodeId>& children(NodeId x) const {
-    return node(x).children;
+  bool IsLeaf(NodeId x) const { return node(x).kids_size == 0; }
+
+  /// The value of `x` (dead slots keep theirs). Valid until the next
+  /// mutation of this tree.
+  std::string_view value(NodeId x) const {
+    const NodeRec& rec = node(x);
+    return {values_.data() + rec.value_offset, rec.value_size};
   }
-  bool IsLeaf(NodeId x) const { return node(x).children.empty(); }
+
+  /// The children of `x`, in order. Valid until the next mutation of this
+  /// tree.
+  std::span<const NodeId> children(NodeId x) const {
+    const NodeRec& rec = node(x);
+    return {kids_.data() + rec.kids_offset, rec.kids_size};
+  }
 
   /// The label name of node `x` (via the shared LabelTable).
   const std::string& label_name(NodeId x) const {
@@ -114,8 +153,8 @@ class Tree {
   // the kth child of y, with 1 <= k <= (number of children of y) + 1.
 
   /// INS((new, label, value), parent, k). Returns the id of the new leaf.
-  StatusOr<NodeId> InsertLeaf(LabelId label, std::string value, NodeId parent,
-                              int k);
+  StatusOr<NodeId> InsertLeaf(LabelId label, std::string_view value,
+                              NodeId parent, int k);
 
   /// DEL(x). `x` must be a live leaf (interior nodes must be emptied first,
   /// per the paper's restricted delete). The dead slot retains its label and
@@ -128,7 +167,7 @@ class Tree {
   Status ReviveLeaf(NodeId x, NodeId parent, int k);
 
   /// UPD(x, value).
-  Status UpdateValue(NodeId x, std::string value);
+  Status UpdateValue(NodeId x, std::string_view value);
 
   /// Pops node slots with id >= `bound` off the arena, restoring the
   /// id_bound() a tree had before those ids were allocated. Every popped
@@ -167,8 +206,21 @@ class Tree {
   // ----- Utilities -----
 
   /// Deep copy preserving node ids (including dead slots) and sharing the
-  /// label table.
+  /// label table. Three buffer copies; a buffer whose garbage exceeds its
+  /// live contents is compacted instead (see the class comment).
   Tree Clone() const;
+
+  /// Occupancy of the value and child-id buffers (see the class comment):
+  /// their sizes, and how much of each no node refers to any more.
+  struct ArenaStats {
+    size_t value_bytes = 0;
+    size_t value_garbage = 0;
+    size_t kid_slots = 0;
+    size_t kid_garbage = 0;
+  };
+  ArenaStats arena_stats() const {
+    return {values_.size(), value_garbage_, kids_.size(), kids_garbage_};
+  }
 
   /// Structural equality ignoring node identifiers: equal labels, values and
   /// child orders (the paper's isomorphism, Section 3.1).
@@ -223,17 +275,25 @@ class Tree {
   }
 
  private:
-  // The binary tree codec (store/codec.cc) reconstructs a tree's arena
-  // exactly — node ids, dead slots, and child order included — which the
-  // construction API above cannot express; it goes through this access
-  // shim instead of public setters.
+  // The binary tree codec (store/codec.cc) and the s-expression parser
+  // (tree/builder.cc) write a tree's buffers directly — node ids, dead
+  // slots and exact child lists included — which the construction API
+  // above cannot express; they go through this access shim
+  // (tree/tree_access.h) instead of public setters.
   friend class TreeCodecAccess;
+
+  /// Offsets and lengths into values_ and kids_. 32 bits keep a record at
+  /// 32 bytes; a tree whose buffers would pass 4 GiB aborts (CheckSpan).
+  using Span32 = uint32_t;
 
   struct NodeRec {
     LabelId label = kInvalidLabel;
-    std::string value;
     NodeId parent = kInvalidNode;
-    std::vector<NodeId> children;
+    Span32 value_offset = 0;
+    Span32 value_size = 0;
+    Span32 kids_offset = 0;
+    Span32 kids_size = 0;
+    Span32 kids_capacity = 0;
     bool alive = true;
   };
 
@@ -246,6 +306,28 @@ class Tree {
     return nodes_[static_cast<size_t>(x)];
   }
   void DebugStringRec(NodeId x, std::string* out) const;
+
+  /// Appends a node record with the value `value` and an empty child list;
+  /// returns its id.
+  NodeId NewNode(LabelId label, NodeId parent, std::string_view value);
+
+  /// Sets `rec`'s value to a copy of `value` at the tail of values_. Safe
+  /// when `value` views values_ itself.
+  void AppendValue(NodeRec* rec, std::string_view value);
+
+  /// Inserts `child` at 0-based `pos` of `parent`'s child list, growing or
+  /// relocating the list as needed.
+  void InsertKid(NodeId parent, size_t pos, NodeId child);
+
+  /// Removes `child` from `parent`'s child list, shifting it in place.
+  void RemoveKid(NodeId parent, NodeId child);
+
+  /// Copies `other`'s nodes and buffers, compacting a buffer whose
+  /// garbage exceeds its live contents.
+  void CopyContents(const Tree& other);
+
+  /// Aborts if a buffer offset would not fit a Span32.
+  static void CheckSpan(size_t end, const char* buffer);
 
   /// Aborts with a diagnostic if the tree is frozen. Guards the mutation
   /// entry points that cannot report a Status.
@@ -263,6 +345,11 @@ class Tree {
 
   std::shared_ptr<LabelTable> labels_;
   std::vector<NodeRec> nodes_;
+  std::string values_;
+  std::vector<NodeId> kids_;
+  // Bytes of values_ and slots of kids_ that no record refers to any more.
+  size_t value_garbage_ = 0;
+  size_t kids_garbage_ = 0;
   NodeId root_ = kInvalidNode;
   size_t live_count_ = 0;
   mutable std::vector<TreeIndex*> observers_;

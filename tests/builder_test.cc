@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -251,7 +252,9 @@ void ExpectPreOrderArena(const Tree& expected, const Tree& parsed) {
     for (NodeId c : expected.children(x)) {
       kids.push_back(id_of[static_cast<size_t>(c)]);
     }
-    ASSERT_EQ(parsed.children(y), kids) << "node " << i;
+    const std::span<const NodeId> parsed_kids = parsed.children(y);
+    ASSERT_EQ(std::vector<NodeId>(parsed_kids.begin(), parsed_kids.end()), kids)
+        << "node " << i;
   }
 }
 
@@ -269,7 +272,8 @@ Tree EscapeBearingDocument(int sections, uint64_t seed,
   const char* const kOdd[] = {"\"", "\\", "\\\"", "\xc3\xa9", "\"\\\\\""};
   for (size_t i = 0; i < leaves.size(); i += 7) {
     EXPECT_TRUE(tree.UpdateValue(leaves[i],
-                                 tree.value(leaves[i]) + kOdd[i % 5] + "end")
+                                 std::string(tree.value(leaves[i])) +
+                                     kOdd[i % 5] + "end")
                     .ok());
   }
   return tree;

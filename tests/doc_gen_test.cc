@@ -69,7 +69,7 @@ TEST(DocGenTest, DuplicateKnobInjectsDuplicates) {
   std::map<std::string, int> counts;
   size_t leaves = 0;
   for (NodeId s : doc.Leaves()) {
-    ++counts[doc.value(s)];
+    ++counts[std::string(doc.value(s))];
     ++leaves;
   }
   size_t duplicated = 0;
@@ -87,7 +87,7 @@ TEST(DocGenTest, ZeroDuplicateKnobMostlyUnique) {
   auto labels = std::make_shared<LabelTable>();
   Tree doc = GenerateDocument(params, vocab, &rng, labels);
   std::map<std::string, int> counts;
-  for (NodeId s : doc.Leaves()) ++counts[doc.value(s)];
+  for (NodeId s : doc.Leaves()) ++counts[std::string(doc.value(s))];
   size_t duplicated = 0;
   for (const auto& [value, count] : counts) {
     if (count > 1) ++duplicated;

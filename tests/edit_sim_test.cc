@@ -97,8 +97,8 @@ TEST_F(EditSimTest, PureMoveMixPreservesMultiset) {
   EXPECT_EQ(v.sentence_moves, 8u);
   // Same sentences, possibly different placement.
   std::multiset<std::string> before, after;
-  for (NodeId s : doc.Leaves()) before.insert(doc.value(s));
-  for (NodeId s : v.new_tree.Leaves()) after.insert(v.new_tree.value(s));
+  for (NodeId s : doc.Leaves()) before.emplace(doc.value(s));
+  for (NodeId s : v.new_tree.Leaves()) after.emplace(v.new_tree.value(s));
   EXPECT_EQ(before, after);
 }
 

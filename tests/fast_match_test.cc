@@ -134,7 +134,7 @@ TEST(FastMatchTest, PaperRunningExampleFigure1) {
     for (NodeId s : t1.Leaves()) {
       if (t1.value(s) == v) {
         NodeId p = m.PartnerOfT1(s);
-        return p == kInvalidNode ? "<none>" : t2.value(p);
+        return p == kInvalidNode ? "<none>" : std::string(t2.value(p));
       }
     }
     return "<missing>";

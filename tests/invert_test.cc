@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
 
@@ -23,7 +24,7 @@ bool ExactlyEqual(const Tree& a, const Tree& b) {
     if (!b.Alive(x)) return false;
     if (a.label(x) != b.label(x) || a.value(x) != b.value(x)) return false;
     if (a.parent(x) != b.parent(x)) return false;
-    if (a.children(x) != b.children(x)) return false;
+    if (!std::ranges::equal(a.children(x), b.children(x))) return false;
   }
   return true;
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "gen/doc_gen.h"
 #include "gen/edit_sim.h"
@@ -19,7 +22,7 @@ struct Fixture {
   /// Collects all leaf values of a tree in document order.
   std::vector<std::string> LeafValues(const Tree& t) {
     std::vector<std::string> values;
-    for (NodeId s : t.Leaves()) values.push_back(t.value(s));
+    for (NodeId s : t.Leaves()) values.emplace_back(t.value(s));
     return values;
   }
 };
@@ -274,7 +277,8 @@ TEST(ThreeWayTest, RandomDisjointSectionsAlwaysMergeClean) {
   // sentence updates; "theirs" in sections 3-5.
   auto edit_half = [&](bool first_half) {
     Tree t = base.Clone();
-    const auto sections = t.children(t.root());
+    const std::span<const NodeId> top = t.children(t.root());
+    const std::vector<NodeId> sections(top.begin(), top.end());
     int edited = 0;
     for (size_t i = 0; i < sections.size(); ++i) {
       const bool in_half = first_half ? i < 3 : i >= 3;
@@ -283,7 +287,7 @@ TEST(ThreeWayTest, RandomDisjointSectionsAlwaysMergeClean) {
         if (t.IsLeaf(p) || t.children(p).empty()) continue;
         NodeId s = t.children(p)[0];
         if (!t.IsLeaf(s)) continue;
-        std::string v = t.value(s);
+        std::string v(t.value(s));
         v += first_half ? " oursedit" : " theirsedit";
         EXPECT_TRUE(t.UpdateValue(s, v).ok());
         ++edited;
@@ -301,7 +305,7 @@ TEST(ThreeWayTest, RandomDisjointSectionsAlwaysMergeClean) {
   EXPECT_TRUE(merge->conflicts.empty());
   size_t ours_edits = 0, theirs_edits = 0;
   for (NodeId s : merge->merged.Leaves()) {
-    const std::string& v = merge->merged.value(s);
+    const std::string_view v = merge->merged.value(s);
     if (v.find(" oursedit") != std::string::npos) ++ours_edits;
     if (v.find(" theirsedit") != std::string::npos) ++theirs_edits;
   }

@@ -8,7 +8,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/edit_script.h"
+#include "gen/doc_gen.h"
+#include "gen/vocab.h"
+#include "store/codec.h"
 #include "tree/builder.h"
+#include "util/random.h"
 
 namespace treediff {
 namespace {
@@ -101,6 +106,40 @@ TEST(TreeCacheTest, FingerprintsSeparateFormatsAndContents) {
             TreeCache::FingerprintVersion("cod", 1));
   EXPECT_NE(TreeCache::FingerprintVersion("doc", 1, 0),
             TreeCache::FingerprintVersion("doc", 1, 1));
+}
+
+TEST(TreeCacheTest, ChargeFollowsContentNotHowTheTreeWasBuilt) {
+  // One document five ways: built by AddChild, parsed (no slack), cloned,
+  // codec round-tripped, and edited by a transactional ApplyTo that rolls
+  // back (its update leaves garbage bytes in the value buffer). Every one
+  // is charged the same.
+  auto labels = std::make_shared<LabelTable>();
+  const Vocabulary vocab(2000, 1.0);
+  Rng rng(25);
+  DocGenParams params;
+  params.sections = 4;
+  Tree built = GenerateDocument(params, vocab, &rng, labels);
+  StatusOr<Tree> parsed = ParseSexpr(built.ToDebugString(), labels);
+  ASSERT_TRUE(parsed.ok());
+  StatusOr<Tree> decoded = DecodeTree(EncodeTree(built), labels);
+  ASSERT_TRUE(decoded.ok());
+  Tree rolled_back = parsed->Clone();
+  EditScript script;
+  const NodeId leaf = rolled_back.Leaves()[0];
+  script.Append(EditOp::Update(
+      leaf, std::string(rolled_back.value(leaf)) + " and some more", 1.0));
+  script.Append(EditOp::Insert(static_cast<NodeId>(rolled_back.id_bound()),
+                               rolled_back.InternLabel("S"), "new",
+                               rolled_back.root(), 1));
+  script.Append(EditOp::Delete(rolled_back.root()));  // Not a leaf: fails.
+  ASSERT_FALSE(script.ApplyTo(&rolled_back).ok());
+  ASSERT_GT(rolled_back.arena_stats().value_garbage, 0u);
+
+  const CachedTree reference(parsed->Clone(), 1);
+  EXPECT_EQ(CachedTree(std::move(built), 2).bytes, reference.bytes);
+  EXPECT_EQ(CachedTree(std::move(*parsed), 3).bytes, reference.bytes);
+  EXPECT_EQ(CachedTree(std::move(*decoded), 4).bytes, reference.bytes);
+  EXPECT_EQ(CachedTree(std::move(rolled_back), 5).bytes, reference.bytes);
 }
 
 TEST(TreeCacheTest, ConcurrentInsertAndLookupConverge) {
